@@ -81,8 +81,8 @@ void
 checkTelemetryZeroCost()
 {
     const FatBinary &bin = compiledWorkload("hmmer", 1);
-    // Superblock-trace engine counters for the off-rate run. Host
-    // JSON only: trace coverage legitimately varies with HIPSTR_TRACE,
+    // Superblock-trace formation counters for the off-rate run. Host
+    // JSON only: trace coverage legitimately varies with HIPSTR_JIT,
     // so these must never reach the deterministic summary.
     telemetry::MetricRegistry trace_reg;
     double off_rate = steadyStateRate(bin, nullptr, &trace_reg);
@@ -96,9 +96,8 @@ checkTelemetryZeroCost()
     // deterministic summary.
     for (const char *key :
          { "trace.formed", "trace.follows", "trace.invalidated",
-           "trace.sideExits", "jit.compiledTraces", "jit.codeBytes",
-           "jit.executions", "jit.sideExits", "jit.bailouts",
-           "jit.invalidated" })
+           "jit.compiledTraces", "jit.codeBytes", "jit.executions",
+           "jit.sideExits", "jit.bailouts", "jit.invalidated" })
         benchHostMetric(key, double(trace_reg.counter(key).value()));
     if (masked_rate < 0.5 * off_rate) {
         hipstr_fatal("masked telemetry slowed steady-state dispatch: "

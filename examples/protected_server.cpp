@@ -71,6 +71,7 @@
 #include "fleet/fleet.hh"
 #include "replay/fleet_replay.hh"
 #include "replay/record_replay.hh"
+#include "server/guest_process.hh"
 #include "server/protected_server.hh"
 #include "support/env.hh"
 #include "vm/jit/engine.hh"
@@ -155,10 +156,16 @@ main(int argc, char **argv)
     // Every worker VM honours HIPSTR_JIT through PsrConfig's default
     // JitMode::FromEnv; surface the effective engine choice up front
     // so a surprising perf profile is explainable from the banner.
+    // The answer comes from a worker built with the servers' own
+    // config, so the banner cannot disagree with what actually runs.
     const char *jit_reason = nullptr;
     const bool jit_host_ok = jit::TraceJit::hostSupported(&jit_reason);
-    const bool jit_on = jit_host_ok && envFlag("HIPSTR_JIT", true) &&
-        envFlag("HIPSTR_TRACE", true);
+    GuestProcessConfig probe_cfg;
+    probe_cfg.hipstr = cfg.hipstr;
+    const bool jit_on = GuestProcess(bin, probe_cfg)
+                            .runtime()
+                            .vm(IsaKind::Cisc)
+                            .jitEnabled();
     std::printf("protected server: %u workers on %s, %llu requests "
                 "(5%% attacks, 5%% malformed)%s, trace jit %s%s%s\n",
                 cfg.workers, CmpModel(cfg.cmp).describe().c_str(),

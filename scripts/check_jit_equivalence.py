@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Byte-equality gate for the trace JIT's determinism contract.
+"""Byte-equality gate for the trace tier's determinism contract.
 
-Runs a bench harness twice in smoke mode — HIPSTR_JIT=0 and
+Runs each bench harness twice in smoke mode — HIPSTR_JIT=0 and
 HIPSTR_JIT=1 — in separate scratch directories and requires the
-deterministic BENCH_<name>.json files to be byte-identical. The JIT
-folds the same translate-time counter deltas at the same segment
-boundaries as the threaded trace interpreter, so nothing in the
-deterministic summary may move when the engine switches.
+deterministic BENCH_<name>.json files to be byte-identical. Compiled
+traces fold the same translate-time counter deltas at the same block
+boundaries as the plain block loop that runs everything under
+HIPSTR_JIT=0, so nothing in the deterministic summary may move when
+the trace tier switches.
 
 Usage: check_jit_equivalence.py <bench-binary> [<bench-binary>...]
 

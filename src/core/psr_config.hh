@@ -53,20 +53,6 @@ struct PsrConfig
     /** Superblock formation limit (guest blocks inlined per unit). */
     unsigned maxSuperblockBlocks = 8;
 
-    /**
-     * Superblock trace execution (the dispatcher-bypassing threaded
-     * trace loop). FromEnv honours HIPSTR_TRACE=0/1 (default on);
-     * On/Off force the decision regardless of the environment —
-     * differential tests use the forced modes to compare both engines.
-     */
-    enum class TraceMode : uint8_t
-    {
-        FromEnv,
-        On,
-        Off
-    };
-    TraceMode traceMode = TraceMode::FromEnv;
-
     /** Block entries before a head is considered for trace formation. */
     unsigned traceHotThreshold = 32;
 
@@ -74,12 +60,14 @@ struct PsrConfig
     unsigned traceMaxBlocks = 16;
 
     /**
-     * Trace JIT (direct x86-64 emission for hot superblock traces).
-     * FromEnv honours HIPSTR_JIT=0/1 (default on); On/Off force the
-     * decision — the JIT additionally requires tracing itself to be
-     * on, an x86-64 host, and a sanitizer-free build, and silently
-     * falls back to the threaded interpreter per trace entry when a
-     * per-entry gate (control-trace hook, memory journaling) is live.
+     * The trace tier: superblock trace formation plus the JIT that
+     * compiles every formed trace to direct x86-64 code. FromEnv
+     * honours HIPSTR_JIT=0/1 (default on); On/Off force the decision
+     * regardless of the environment — differential tests use the
+     * forced modes to compare the tier against the plain block loop.
+     * The tier additionally requires O1+ (chaining), an x86-64 host,
+     * and a sanitizer-free build. A run with a control-trace hook or
+     * memory journaling live uses the plain block loop throughout.
      */
     enum class JitMode : uint8_t
     {

@@ -185,17 +185,17 @@ class Memory
      * register slots, a hot array). The hint caches the inclusive
      * range of base addresses for which a 4-byte access is known
      * legal, so a hit replaces the permAt binary search with one range
-     * compare. Hints hold no pointers and must be discarded (or simply
-     * not reused) across setRegion calls; the superblock trace
-     * executor creates fresh hints per trace run and traces never
-     * reach setRegion (syscalls end a trace). A hinted access has
-     * byte-identical semantics to tryRead32/tryWrite32, including the
-     * first-byte permission rule and write journaling.
+     * compare. Hints hold no pointers and are invalidated by
+     * layoutEpoch() (bumped on every setRegion); the trace JIT keeps
+     * one persistent hint per memory op and clears its table when the
+     * epoch moves. Traces never reach setRegion (syscalls end a
+     * trace). A hit performs exactly the access tryRead32/tryWrite32
+     * would, so the hint is semantically invisible.
      *
      * A hint is direction-specific: the cached window proves only the
-     * permission of the access that established it, so a hint must be
-     * used exclusively with tryRead32Span or exclusively with
-     * tryWrite32Span, never both. @{
+     * permission of the probe that established it. The JIT's
+     * read-modify-write ops probe one slot for both directions, which
+     * is sound because permission spans are uniform.
      */
     struct SpanHint
     {
@@ -203,45 +203,12 @@ class Memory
         Addr hi = 0;
     };
 
-    bool tryRead32Span(SpanHint &h, Addr addr, uint32_t &v) const noexcept
-    {
-        if (addr >= h.lo && addr <= h.hi) [[likely]] {
-            __builtin_memcpy(&v, &_bytes[addr], 4);
-            return true;
-        }
-        if (!checkOk(addr, 4, PermR))
-            return false;
-        refillHint(h, addr);
-        __builtin_memcpy(&v, &_bytes[addr], 4);
-        return true;
-    }
-
-    bool tryWrite32Span(SpanHint &h, Addr addr, uint32_t v) noexcept
-    {
-        if (addr >= h.lo && addr <= h.hi) [[likely]] {
-            if (_journaling) [[unlikely]]
-                journalBytes(addr, 4);
-            __builtin_memcpy(&_bytes[addr], &v, 4);
-            return true;
-        }
-        if (!checkOk(addr, 4, PermW))
-            return false;
-        refillHint(h, addr);
-        if (_journaling)
-            journalBytes(addr, 4);
-        __builtin_memcpy(&_bytes[addr], &v, 4);
-        return true;
-    }
-    /** @} */
-
     /**
      * Validate a 4-byte access at @p addr for @p needed and refill
      * @p h around it *without* performing the access. This is the
      * trace JIT's hint-miss probe: it must stay free of guest-visible
      * effects so the op that missed can be retried from its start
      * (read-modify-write ops would otherwise double-apply).
-     * Semantically the miss path of tryRead32Span/tryWrite32Span
-     * minus the data move.
      */
     bool
     probe32Span(SpanHint &h, Addr addr, Perm needed) const noexcept

@@ -8,11 +8,10 @@
  *
  * Knobs currently routed through this module:
  *   HIPSTR_JOBS        worker-thread budget (envUnsigned)
- *   HIPSTR_TRACE       superblock-trace engine on/off (envFlag)
- *   HIPSTR_JIT         trace JIT (x86-64 emission) on/off (envFlag;
- *                      default on, auto-disabled with a logged
- *                      reason on non-x86-64 hosts and under
- *                      ASan/UBSan builds)
+ *   HIPSTR_JIT         trace tier (formation + x86-64 emission)
+ *                      on/off (envFlag; default on, auto-disabled
+ *                      with a logged reason on non-x86-64 hosts and
+ *                      under ASan/UBSan builds)
  *   HIPSTR_MIG_DEBUG   migration transform debug dump (envFlag)
  *   HIPSTR_BENCH_SMOKE bench smoke mode (envFlag)
  *   HIPSTR_RECORD      journal path to record a server run to

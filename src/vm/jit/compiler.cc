@@ -902,7 +902,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       }
 
       default:
-        return false; // unknown handler: leave the trace interpreted
+        return false; // unknown shape: decline the whole trace
     }
 }
 

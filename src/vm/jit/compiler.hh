@@ -12,16 +12,15 @@
  * unwind) flushes them back to their architectural MachineState
  * slots, which double as the spill homes.
  *
- * The emitted code preserves the interpreter's semantics exactly:
+ * The emitted code preserves the block loop's semantics exactly:
  * deterministic counters fold only at segment boundaries with the
  * same translate-time deltas, guest flags are materialized into
  * state.flags after every Cmp/Test via SETcc, and every memory
- * access is guarded by the same span-hint window check the
- * interpreter performs — but against a *per-op* hint slot that
- * persists across entries (see engine.hh), so a steady-state op
- * almost never leaves the two-compare fast path. Misses route to a
- * C++ probe that refills the slot or records the fault, then the op
- * retries inline.
+ * access is guarded by a span-hint window check against a *per-op*
+ * hint slot that persists across entries (see engine.hh), so a
+ * steady-state op almost never leaves the two-compare fast path.
+ * Misses route to a C++ probe that refills the slot or records the
+ * fault, then the op retries inline.
  */
 
 #ifndef HIPSTR_VM_JIT_COMPILER_HH
@@ -88,7 +87,8 @@ struct CompileLayout
 
 /**
  * Compile @p tr into @p em. Returns false when the trace uses a
- * construct the JIT cannot lower (the trace then stays interpreted);
+ * construct the JIT cannot lower (the head block then runs in the
+ * block loop);
  * on success em.code holds a complete position-independent function.
  */
 bool compileTrace(const SuperTrace &tr, const CompileLayout &lay,

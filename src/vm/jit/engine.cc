@@ -252,8 +252,10 @@ TraceJit::segCall(JitFrame *f, uint32_t op_idx)
     }
     if (vm._cache.flushes() != tr->flushGen) [[unlikely]] {
         // The eager return-point translation capacity-flushed the
-        // cache: abandon the trace and re-enter through the counting
-        // dispatcher, exactly like the interpreter's SegCall.
+        // cache: every block this trace splices is gone. Abandon the
+        // trace (reading nothing block-owned) and re-enter through the
+        // counting dispatcher, like the block loop's flush-dirtied
+        // chain pointer does.
         f->exit->kind = TraceExitKind::DispatchTo;
         f->exit->target = op.imm;
         f->exitCode = kJitExitHelper;
@@ -278,7 +280,7 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
         tr->jit.gen == _arena.generation()) [[likely]] {
         return true;
     }
-    if (tr->jit.failed || _arenaFailed)
+    if (_arenaFailed)
         return false;
 
     // Safe point by construction: compilation happens only on trace
@@ -298,7 +300,6 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
 
     Emitter em;
     if (!compileTrace(*tr, layout(), em)) {
-        tr->jit.failed = true;
         _arena.endWrite();
         return false;
     }
@@ -311,8 +312,7 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
         _arena.reset();
         p = _arena.alloc(em.size());
         if (p == nullptr) {
-            tr->jit.failed = true; // larger than the whole arena
-            _arena.endWrite();
+            _arena.endWrite(); // larger than the whole arena
             return false;
         }
     }
@@ -363,7 +363,6 @@ TraceJit::run(PsrVm &vm, SuperTrace *tr, uint64_t guest_budget,
         // stop and tx.
         return true;
       case kJitExitSide:
-        ++vm._traces.stats.sideExits;
         ++stats.sideExits;
         resumeOwner(vm, *tr, tr->ops[f.exitOp], tx);
         return true;
@@ -375,7 +374,7 @@ TraceJit::run(PsrVm &vm, SuperTrace *tr, uint64_t guest_budget,
         return true;
       case kJitExitBudget: {
         // Counters were folded inline before the budget test; the
-        // stop pc is the segment edge's target, like the interpreter.
+        // stop pc is the segment edge's target, like the block loop.
         const TraceOp &op = tr->ops[f.exitOp];
         vm.state.pc = op.imm;
         stop.reason = VmStop::StepLimit;

@@ -2,7 +2,8 @@
  * @file
  * Trace-JIT engine: owns the executable arena, compiles hot
  * superblock traces on first entry, and runs them with the exact
- * observable semantics of PsrVm::runTrace.
+ * observable semantics of the block loop they replace. It is the only
+ * executor of a formed trace.
  *
  * Execution contract: compiled code receives one JitFrame and runs
  * under four pinned registers (r12 = &VmStats, r13 = frame,
@@ -12,9 +13,9 @@
  * allocated guest registers to their MachineState homes first, so
  * C++ always sees (and may mutate) architectural state. On return
  * the frame's exitCode says which epilogue fired and run() finishes
- * the exit exactly as the threaded interpreter would: side exits
- * resume the owner block, faults fold the translate-time cumulative
- * counters, budget stops report StepLimit at the edge target.
+ * the exit: side exits resume the owner block, faults fold the
+ * translate-time cumulative counters, budget stops report StepLimit
+ * at the edge target.
  *
  * Invalidation composes with the code-cache flush protocol at two
  * generations: a trace retired by any cache flush simply never
@@ -49,15 +50,15 @@ namespace jit
  * trailing pointers serve only the C++ helpers.
  *
  * opHints points at the trace's persistent per-op span-hint table
- * (SuperTrace::jit.hints, one SpanHint per TraceOp). Unlike the
- * interpreter's four per-run family hints — whose windows thrash
- * when a loop alternates between address-space spans — each memory
- * op owns its slot, so in steady state the window check never
- * misses. Persistence across entries is sound because hint state is
- * semantically invisible (a hit performs exactly the access the
- * interpreter's checked path would) and the engine clears the table
- * whenever Memory's span layout epoch moves (region changes happen
- * only between trace runs — syscalls end traces).
+ * (SuperTrace::jit.hints, one SpanHint per TraceOp). Each memory op
+ * owns its slot, so a loop that alternates between address-space
+ * spans never thrashes a shared window and in steady state the
+ * window check never misses. Persistence across entries is sound
+ * because hint state is semantically invisible (a hit performs
+ * exactly the access a checked tryRead32/tryWrite32 would) and the
+ * engine clears the table whenever Memory's span layout epoch moves
+ * (region changes happen only between trace runs — syscalls end
+ * traces).
  */
 struct JitFrame
 {
@@ -83,9 +84,9 @@ struct JitStats
     uint64_t codeBytes = 0;      ///< total bytes of emitted code
     uint64_t executions = 0;     ///< compiled-trace entries
     uint64_t sideExits = 0;      ///< guard exits taken in JIT code
-    uint64_t bailouts = 0;       ///< entries that fell back to the
-                                 ///< interpreter (gating or compile
-                                 ///< declined)
+    uint64_t bailouts = 0;       ///< traces the compiler declined;
+                                 ///< each head block then runs in
+                                 ///< the block loop for good
     uint64_t invalidated = 0;    ///< compiled traces retired by a
                                  ///< code-cache flush
 };
@@ -101,11 +102,11 @@ class TraceJit
     JitStats stats;
 
     /**
-     * Execute @p tr under the JIT if possible. Returns true with
-     * @p tx (and possibly @p stop) filled exactly as runTrace would;
-     * false when the trace cannot be jitted (caller interprets and
-     * counts a bailout). Caller must have checked the per-entry
-     * gates (controlTraceHook, journaling).
+     * Execute @p tr under the JIT. Returns true with @p tx (and
+     * possibly @p stop) filled; false when the trace cannot be
+     * compiled (the caller counts a bailout and retires the head to
+     * the block loop). Caller must have checked the per-run gates
+     * (controlTraceHook, journaling).
      */
     bool run(PsrVm &vm, SuperTrace *tr, uint64_t guest_budget,
              VmRunResult &stop, TraceExit &tx);

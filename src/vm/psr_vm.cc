@@ -18,25 +18,7 @@ namespace hipstr
 namespace
 {
 
-/** HIPSTR_TRACE=0/off disables superblock traces; default on. */
-bool
-traceEnvEnabled()
-{
-    return envFlag("HIPSTR_TRACE", true);
-}
-
-bool
-resolveTraceMode(const PsrConfig &cfg)
-{
-    switch (cfg.traceMode) {
-      case PsrConfig::TraceMode::On: return true;
-      case PsrConfig::TraceMode::Off: return false;
-      case PsrConfig::TraceMode::FromEnv: break;
-    }
-    return traceEnvEnabled();
-}
-
-/** HIPSTR_JIT=0/off disables the trace JIT; default on. */
+/** HIPSTR_JIT=0/off disables the trace tier; default on. */
 bool
 jitEnvEnabled()
 {
@@ -101,11 +83,9 @@ PsrVm::PsrVm(const FatBinary &bin, IsaKind isa, Memory &mem,
     // cycles / (GHz * 1000) = microseconds.
     _translateUsPerInst = TimingParams{}.translateCyclesPerGuestInst /
         (coreConfig(isa).freqGhz * 1000.0);
-    // Trace formation needs chained exits, so it rides the same O1
-    // switch as chaining itself.
-    _traceOn = resolveTraceMode(cfg) && cfg.superblocks();
-    // The JIT compiles formed traces, so it rides the trace switch.
-    _jitOn = _traceOn && resolveJitMode(cfg);
+    // Trace formation needs chained exits, so the trace tier rides
+    // the same O1 switch as chaining itself.
+    _jitOn = cfg.superblocks() && resolveJitMode(cfg);
 }
 
 void
@@ -114,7 +94,6 @@ PsrVm::publishTraceTelemetry(telemetry::MetricRegistry &reg) const
     reg.counter("trace.formed").set(_traces.stats.formed);
     reg.counter("trace.follows").set(stats.traceFollows);
     reg.counter("trace.invalidated").set(_traces.stats.invalidated);
-    reg.counter("trace.sideExits").set(_traces.stats.sideExits);
 }
 
 void
@@ -189,7 +168,7 @@ PsrVm::saveState(ByteWriter &w) const
     w.u32(state.pc);
 
     // Counters. traceFollows/chainFollows split legitimately varies
-    // with HIPSTR_TRACE, but both are saved verbatim: a checkpoint is
+    // with HIPSTR_JIT, but both are saved verbatim: a checkpoint is
     // restored under the same knob setting it was taken under.
     w.u64(stats.guestInsts);
     w.u64(stats.hostInsts);
@@ -511,6 +490,16 @@ PsrVm::runLoop(uint64_t max_guest_insts)
         return indirectResolve(target, stop);
     };
 
+    // Superblock traces live only on the untraced loop: the
+    // fetch/data-hooked loop models per-instruction cache behaviour
+    // and must keep the baseline dispatch shape. Compiled traces
+    // never report control transfers to controlTraceHook and write
+    // memory without journaling, so a run with either gate live
+    // stays on the plain block loop: it neither enters nor forms
+    // traces.
+    [[maybe_unused]] const bool traces =
+        _jitOn && !controlTraceHook && !_mem.journaling();
+
     // Block-loop entry state for trace side exits: resume_i is the
     // instruction index the next block iteration starts at (credited
     // stays 0 — traces never fold mid-segment), and from_resume
@@ -521,31 +510,20 @@ PsrVm::runLoop(uint64_t max_guest_insts)
 
     while (true) {
         if constexpr (!Traced) {
-            // Superblock traces live only on the untraced loop: the
-            // fetch/data-hooked loop models per-instruction cache
-            // behaviour and must keep the baseline dispatch shape.
             const bool entered_from_resume = from_resume;
             from_resume = false;
-            if (_traceOn && !entered_from_resume) {
+            if (traces && !entered_from_resume) {
                 if (SuperTrace *t = blk->strace; t != nullptr) {
-                    // Compiled execution first; the threaded
-                    // interpreter is the per-entry fallback when a
-                    // gate is live (control-trace hook, journaling)
-                    // or the trace cannot be compiled. Both paths
-                    // produce identical TraceExits and identical
-                    // deterministic counters.
                     TraceExit tx;
-                    const bool jitted = _jitOn && !controlTraceHook &&
-                        !_mem.journaling() &&
-                        _jit.run(*this, t, guest_budget, stop, tx);
-                    if (!jitted) {
-                        if (_jitOn)
-                            ++_jit.stats.bailouts;
-                        tx = runTrace(t, guest_budget, stop);
-                    }
-                    if (tx.kind == TraceExitKind::Stop)
+                    if (!_jit.run(*this, t, guest_budget, stop, tx)) {
+                        // Compile declined: the head runs in the
+                        // block loop from now on, this entry included.
+                        ++_jit.stats.bailouts;
+                        blk->strace = nullptr;
+                        blk->traceDead = true;
+                    } else if (tx.kind == TraceExitKind::Stop) {
                         return stop;
-                    if (tx.kind == TraceExitKind::DispatchTo) {
+                    } else if (tx.kind == TraceExitKind::DispatchTo) {
                         // Mid-trace capacity flush: re-enter through
                         // the ordinary counting dispatcher, exactly
                         // as the baseline's flush-dirtied chain does.
@@ -558,10 +536,11 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                             return stop;
                         }
                         continue;
+                    } else {
+                        blk = tx.blk;
+                        resume_i = tx.instIdx;
+                        from_resume = true;
                     }
-                    blk = tx.blk;
-                    resume_i = tx.instIdx;
-                    from_resume = true;
                 } else if (!blk->traceDead &&
                            ++blk->hotCount >= _cfg.traceHotThreshold) {
                     _traces.collectRetired();

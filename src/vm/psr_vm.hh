@@ -75,11 +75,12 @@ struct VmStats
     uint64_t dispatches = 0;     ///< dispatcher entries (unchained)
     uint64_t chainFollows = 0;   ///< direct block-to-block transfers
     /**
-     * Block-to-block transfers retired inside a superblock trace.
-     * With tracing off these edges count as chainFollows instead;
-     * every other counter in this struct is byte-identical either
-     * way (neither chainFollows nor traceFollows feeds the timing
-     * model or a deterministic bench export).
+     * Block-to-block transfers retired inside a compiled superblock
+     * trace. With the trace tier off (or a run on the plain block
+     * loop) these edges count as chainFollows instead; every other
+     * counter in this struct is byte-identical either way (neither
+     * chainFollows nor traceFollows feeds the timing model or a
+     * deterministic bench export).
      */
     uint64_t traceFollows = 0;
     uint64_t translations = 0;
@@ -133,7 +134,9 @@ class PsrVm
      *     == hook invocations + run entries
      * (each run() entry dispatches once without a hook call; a run
      * killed mid-transfer may have called the hook for the very
-     * transfer whose dispatch was then denied).
+     * transfer whose dispatch was then denied). A run with the hook
+     * installed uses the plain block loop — it neither enters nor
+     * forms traces — so there traceFollows stays 0.
      */
     std::function<void(Addr target, char kind)> controlTraceHook;
 
@@ -163,7 +166,10 @@ class PsrVm
      * untraced loop: when no fetch/data hook is installed the inner
      * instruction loop performs no hook checks and no per-operand
      * scanning — data-access counts are taken from the translate-time
-     * totals baked into each translated instruction.
+     * totals baked into each translated instruction. The untraced
+     * loop forms and enters compiled traces when the JIT is on and
+     * neither a control-trace hook nor memory journaling is live;
+     * those gates are checked once per run, never per trace entry.
      */
     VmRunResult run(uint64_t max_guest_insts);
 
@@ -193,30 +199,26 @@ class PsrVm
      */
     void flushTranslations();
 
-    /**
-     * Superblock tracing observability: engine counters plus whether
-     * the knob (config traceMode resolved against HIPSTR_TRACE)
-     * enabled tracing for this VM. @{
-     */
-    bool tracingEnabled() const { return _traceOn; }
+    /** Superblock trace formation observability. @{ */
     const TraceStats &traceStats() const { return _traces.stats; }
     size_t liveTraces() const { return _traces.liveCount(); }
     /** @} */
 
     /**
-     * Mirror the trace counters (trace.formed/follows/invalidated/
-     * sideExits) into @p reg. Host-side observability only — callers
-     * must not route this into a deterministic bench registry, since
-     * trace coverage legitimately changes with HIPSTR_TRACE.
+     * Mirror the trace counters (trace.formed/follows/invalidated)
+     * into @p reg. Host-side observability only — callers must not
+     * route this into a deterministic bench registry, since trace
+     * coverage legitimately changes with HIPSTR_JIT.
      */
     void publishTraceTelemetry(telemetry::MetricRegistry &reg) const;
 
     /**
-     * Trace-JIT observability: whether the JIT is active for this VM
-     * (jitMode resolved against HIPSTR_JIT, host support, tracing on)
-     * and the engine counters. Like the trace counters these are
-     * host-side only — coverage changes with HIPSTR_JIT, so they must
-     * never feed a deterministic bench registry. @{
+     * Trace-tier observability: whether trace formation and the JIT
+     * are active for this VM (jitMode resolved against HIPSTR_JIT,
+     * O1+, host support) and the engine counters. Like the trace
+     * counters these are host-side only — coverage changes with
+     * HIPSTR_JIT, so they must never feed a deterministic bench
+     * registry. @{
      */
     bool jitEnabled() const { return _jitOn; }
     const jit::JitStats &jitStats() const { return _jit.stats; }
@@ -272,28 +274,24 @@ class PsrVm
     TranslatedBlock *fetchBlock(Addr src, VmRunResult &stop);
     /** Count + trace the data accesses of one instruction. */
     void traceData(const MachInst &mi);
-    /** The run loop, specialized on whether trace hooks are live. */
+    /**
+     * The run loop, specialized on whether fetch/data hooks are live.
+     * The hooked loop never forms or enters traces.
+     */
     template <bool Traced>
     VmRunResult runLoop(uint64_t max_guest_insts);
 
     /**
      * Dispatch-loop transfer helpers, shared between the block loop
-     * and the trace executor so both pay identical counter and
-     * security semantics. Each returns nullptr/false with @p stop
-     * filled when the run must end. @{
+     * and the trace JIT so both pay identical counter and security
+     * semantics. Each returns nullptr/false with @p stop filled when
+     * the run must end. @{
      */
     TranslatedBlock *dispatchTo(Addr target, VmRunResult &stop);
     TranslatedBlock *indirectResolve(Addr target, VmRunResult &stop);
     TranslatedBlock *indirectDispatch(Addr target, VmRunResult &stop);
     bool emitCallLinkage(Addr source_ra, VmRunResult &stop);
     /** @} */
-
-    /**
-     * Run @p tr's threaded op stream until a stop, a side exit, or an
-     * abandoning flush (defined in superblock.cc).
-     */
-    TraceExit runTrace(SuperTrace *tr, uint64_t guest_budget,
-                       VmRunResult &stop);
 
     /**
      * Retire every live trace, counting traces that held compiled
@@ -337,13 +335,12 @@ class PsrVm
     CodeCache _cache;
     ReturnAddressTable _rat;
     TraceEngine _traces;
-    bool _traceOn = false; ///< traceMode resolved against HIPSTR_TRACE
     /** The trace JIT needs the dispatch internals its helpers mirror
-        (emitCallLinkage, _cache, _traces, _mem, _os). */
+        (emitCallLinkage, _cache, _mem, _os). */
     friend class jit::TraceJit;
     jit::TraceJit _jit;
     bool _jitOn = false; ///< jitMode resolved against HIPSTR_JIT +
-                         ///< host support; requires _traceOn
+                         ///< host support; requires O1+
     bool _decodeFaultArmed = false;
 
     /**

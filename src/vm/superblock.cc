@@ -1,19 +1,14 @@
 /**
  * @file
- * Superblock trace formation and the computed-goto threaded trace
- * executor (PsrVm::runTrace). See superblock.hh for the invariants;
+ * Superblock trace formation. See superblock.hh for the invariants;
  * the short version: a trace is a re-encoding of instructions the
- * block loop would have executed anyway, so every deterministic
- * counter folds to the same values, every fault stops at the same
- * instruction with the same architectural state, and every transfer
- * the control-trace hook would have seen is still reported.
+ * block loop would have executed anyway, so the JIT that runs it
+ * folds every deterministic counter to the same values and stops
+ * every fault at the same instruction with the same architectural
+ * state.
  */
 
 #include "vm/superblock.hh"
-
-#include "isa/exec_inline.hh"
-#include "support/logging.hh"
-#include "vm/psr_vm.hh"
 
 namespace hipstr
 {
@@ -36,11 +31,11 @@ int
 aluBaseHandler(Op op)
 {
     switch (op) {
-#define HIPSTR_TRACE_ALU_BASE(o)                                      \
+#define HIPSTR_SUPERTRACE_ALU_BASE(o)                                 \
       case Op::o:                                                     \
         return static_cast<int>(TraceH::o##RR);
-        HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_BASE)
-#undef HIPSTR_TRACE_ALU_BASE
+        HIPSTR_SUPERTRACE_ALU_OPS(HIPSTR_SUPERTRACE_ALU_BASE)
+#undef HIPSTR_SUPERTRACE_ALU_BASE
       default:
         return -1;
     }
@@ -462,363 +457,6 @@ TraceEngine::invalidateAll()
     for (auto &t : _live)
         _retired.push_back(std::move(t));
     _live.clear();
-}
-
-/**
- * The threaded trace executor. One computed-goto dispatch per
- * pre-decoded operation, no per-instruction pc maintenance, no
- * per-instruction counter updates: deterministic counters fold from
- * the translate-time running totals at segment boundaries and at
- * faults, exactly where the block loop folds them. Memory accesses go
- * through per-family span hints (one range compare on the hit path)
- * with semantics byte-identical to tryRead32/tryWrite32.
- */
-TraceExit
-PsrVm::runTrace(SuperTrace *tr, uint64_t guest_budget,
-                VmRunResult &stop)
-{
-    static const void *const tbl[] = {
-        &&h_MovRR,
-        &&h_MovRI,
-        &&h_MovRM,
-        &&h_MovMR,
-        &&h_MovMI,
-        &&h_Lea,
-        &&h_MovHi,
-        &&h_CmpRR,
-        &&h_CmpRI,
-        &&h_CmpRM,
-        &&h_CmpMR,
-        &&h_CmpMI,
-        &&h_TestRR,
-        &&h_TestRI,
-        &&h_TestRM,
-        &&h_TestMR,
-        &&h_TestMI,
-        &&h_PushR,
-        &&h_PushI,
-        &&h_PopR,
-#define HIPSTR_TRACE_ALU_LABELS(op)                                   \
-    &&h_##op##RR, &&h_##op##RI, &&h_##op##RM, &&h_##op##MR,           \
-        &&h_##op##MI,
-        HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_LABELS)
-#undef HIPSTR_TRACE_ALU_LABELS
-        &&h_Exec,
-        &&h_JccGuard,
-        &&h_SegBranch,
-        &&h_SegBranchCc,
-        &&h_SegCall,
-        &&h_TraceEnd,
-    };
-    static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
-                      static_cast<size_t>(TraceH::NumHandlers),
-                  "trace handler table out of sync with TraceH");
-
-    using interp_detail::aluCompute;
-    using interp_detail::setCmpFlags;
-    using interp_detail::setTestFlags;
-
-    TraceExit tx;
-    uint32_t *const regs = state.regs.data();
-    Memory &mem = _mem;
-    // Per-family span hints: moves vs. slot/stack traffic, reads vs.
-    // writes kept apart (a hint proves only one access direction).
-    Memory::SpanHint rh0, rh1, wh0, wh1;
-    const TraceOp *const ops = tr->ops.data();
-    const TraceOp *op = ops;
-
-#define R(x) regs[(x)]
-#define NEXTOP                                                        \
-    do {                                                              \
-        ++op;                                                         \
-        goto *tbl[static_cast<size_t>(op->h)];                        \
-    } while (0)
-
-    goto *tbl[static_cast<size_t>(op->h)];
-
-h_MovRR:
-    R(op->a) = R(op->b);
-    NEXTOP;
-h_MovRI:
-    R(op->a) = op->imm;
-    NEXTOP;
-h_MovRM: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh0, R(op->b) + op->imm, v))
-        goto fault;
-    R(op->a) = v;
-    NEXTOP;
-}
-h_MovMR:
-    if (!mem.tryWrite32Span(wh0, R(op->a) + op->imm, R(op->b)))
-        goto fault;
-    NEXTOP;
-h_MovMI:
-    if (!mem.tryWrite32Span(wh0, R(op->a) + op->imm, op->imm2))
-        goto fault;
-    NEXTOP;
-h_Lea:
-    R(op->a) = R(op->b) + op->imm;
-    NEXTOP;
-h_MovHi:
-    R(op->a) = (R(op->a) & 0xffffu) | (op->imm << 16);
-    NEXTOP;
-
-h_CmpRR:
-    setCmpFlags(R(op->b), R(op->c), state.flags);
-    NEXTOP;
-h_CmpRI:
-    setCmpFlags(R(op->b), op->imm2, state.flags);
-    NEXTOP;
-h_CmpRM: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, R(op->c) + op->imm2, v))
-        goto fault;
-    setCmpFlags(R(op->b), v, state.flags);
-    NEXTOP;
-}
-h_CmpMR: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, R(op->b) + op->imm, v))
-        goto fault;
-    setCmpFlags(v, R(op->c), state.flags);
-    NEXTOP;
-}
-h_CmpMI: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, R(op->b) + op->imm, v))
-        goto fault;
-    setCmpFlags(v, op->imm2, state.flags);
-    NEXTOP;
-}
-
-h_TestRR:
-    setTestFlags(R(op->b), R(op->c), state.flags);
-    NEXTOP;
-h_TestRI:
-    setTestFlags(R(op->b), op->imm2, state.flags);
-    NEXTOP;
-h_TestRM: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, R(op->c) + op->imm2, v))
-        goto fault;
-    setTestFlags(R(op->b), v, state.flags);
-    NEXTOP;
-}
-h_TestMR: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, R(op->b) + op->imm, v))
-        goto fault;
-    setTestFlags(v, R(op->c), state.flags);
-    NEXTOP;
-}
-h_TestMI: {
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, R(op->b) + op->imm, v))
-        goto fault;
-    setTestFlags(v, op->imm2, state.flags);
-    NEXTOP;
-}
-
-h_PushR: {
-    uint32_t sp = R(op->a) - kWordSize;
-    if (!mem.tryWrite32Span(wh1, sp, R(op->b)))
-        goto fault;
-    R(op->a) = sp;
-    NEXTOP;
-}
-h_PushI: {
-    uint32_t sp = R(op->a) - kWordSize;
-    if (!mem.tryWrite32Span(wh1, sp, op->imm))
-        goto fault;
-    R(op->a) = sp;
-    NEXTOP;
-}
-h_PopR: {
-    uint32_t sp = R(op->a);
-    uint32_t v;
-    if (!mem.tryRead32Span(rh1, sp, v))
-        goto fault;
-    R(op->a) = sp + kWordSize;
-    R(op->b) = v;
-    NEXTOP;
-}
-
-#define HIPSTR_TRACE_ALU_HANDLERS(OP)                                 \
-    h_##OP##RR:                                                       \
-        R(op->a) = aluCompute(Op::OP, R(op->b), R(op->c));            \
-        NEXTOP;                                                       \
-    h_##OP##RI:                                                       \
-        R(op->a) = aluCompute(Op::OP, R(op->b), op->imm2);            \
-        NEXTOP;                                                       \
-    h_##OP##RM: {                                                     \
-        uint32_t v;                                                   \
-        if (!mem.tryRead32Span(rh1, R(op->c) + op->imm2, v))          \
-            goto fault;                                               \
-        R(op->a) = aluCompute(Op::OP, R(op->b), v);                   \
-        NEXTOP;                                                       \
-    }                                                                 \
-    h_##OP##MR: {                                                     \
-        Addr slot = R(op->a) + op->imm;                               \
-        uint32_t v;                                                   \
-        if (!mem.tryRead32Span(rh1, slot, v))                         \
-            goto fault;                                               \
-        if (!mem.tryWrite32Span(wh1, slot,                            \
-                                aluCompute(Op::OP, v, R(op->c))))     \
-            goto fault;                                               \
-        NEXTOP;                                                       \
-    }                                                                 \
-    h_##OP##MI: {                                                     \
-        Addr slot = R(op->a) + op->imm;                               \
-        uint32_t v;                                                   \
-        if (!mem.tryRead32Span(rh1, slot, v))                         \
-            goto fault;                                               \
-        if (!mem.tryWrite32Span(wh1, slot,                            \
-                                aluCompute(Op::OP, v, op->imm2)))     \
-            goto fault;                                               \
-        NEXTOP;                                                       \
-    }
-
-    HIPSTR_TRACE_ALU_HANDLERS(Add)
-    HIPSTR_TRACE_ALU_HANDLERS(Sub)
-    HIPSTR_TRACE_ALU_HANDLERS(And)
-    HIPSTR_TRACE_ALU_HANDLERS(Or)
-    HIPSTR_TRACE_ALU_HANDLERS(Xor)
-    HIPSTR_TRACE_ALU_HANDLERS(Shl)
-    HIPSTR_TRACE_ALU_HANDLERS(Shr)
-    HIPSTR_TRACE_ALU_HANDLERS(Sar)
-    HIPSTR_TRACE_ALU_HANDLERS(Mul)
-    HIPSTR_TRACE_ALU_HANDLERS(Divu)
-#undef HIPSTR_TRACE_ALU_HANDLERS
-
-h_Exec: {
-    // Generic fallback: full single-instruction semantics. state.pc
-    // is scratch inside a trace (nothing here reads it); every exit
-    // path below re-establishes it before handing control back.
-    ExecStatus st = executeInstInline(op->ti->mi, state, mem, &_os);
-    if (st == ExecStatus::Continue) [[likely]]
-        NEXTOP;
-    if (st == ExecStatus::Halted) {
-        stats.guestInsts += op->ti->guestCum;
-        stats.hostInsts += op->instIdx + 1;
-        stats.memReads += op->ti->memReadsCum;
-        stats.memWrites += op->ti->memWritesCum;
-        const TraceSegment &sg = tr->segs[op->seg];
-        state.pc = sg.guestPc;
-        stop.reason = VmStop::Halted;
-        stop.stopPc = sg.guestPc;
-        tx.kind = TraceExitKind::Stop;
-        return tx;
-    }
-    hipstr_assert(st == ExecStatus::Faulted);
-    goto fault;
-}
-
-h_JccGuard:
-    if (!condHolds(op->cond, state.flags)) [[likely]]
-        NEXTOP;
-    // Off-trace direction: resume the block loop at the guard, which
-    // re-evaluates the (pure) condition and runs the baseline exit
-    // machinery — identical counters, chains, and security checks.
-    ++_traces.stats.sideExits;
-    goto resume_owner;
-
-h_SegBranchCc:
-    if (!condHolds(op->cond, state.flags)) {
-        // Dominant direction not taken: fall through inside the owner
-        // block, exactly where the block loop would continue.
-        ++_traces.stats.sideExits;
-        goto resume_owner;
-    }
-    goto seg_branch_taken;
-
-h_SegBranch:
-seg_branch_taken:
-    stats.guestInsts += op->guestD;
-    stats.hostInsts += op->instIdx + 1;
-    stats.memReads += op->readsD;
-    stats.memWrites += op->writesD;
-    if (controlTraceHook) [[unlikely]]
-        controlTraceHook(op->imm, 'B');
-    ++stats.traceFollows;
-    state.pc = op->imm;
-    if (stats.guestInsts >= guest_budget) [[unlikely]] {
-        stop.reason = VmStop::StepLimit;
-        stop.stopPc = state.pc;
-        tx.kind = TraceExitKind::Stop;
-        return tx;
-    }
-    op = ops + op->jumpTo;
-    goto *tbl[static_cast<size_t>(op->h)];
-
-h_SegCall: {
-    stats.guestInsts += op->guestD;
-    stats.hostInsts += op->instIdx + 1;
-    stats.memReads += op->readsD;
-    stats.memWrites += op->writesD;
-    // Linkage faults report the owner block's pc, like the block loop.
-    state.pc = tr->segs[op->seg].guestPc;
-    if (controlTraceHook) [[unlikely]]
-        controlTraceHook(op->imm, 'C');
-    if (!emitCallLinkage(op->imm2, stop)) {
-        tx.kind = TraceExitKind::Stop;
-        return tx;
-    }
-    if (_cache.flushes() != tr->flushGen) [[unlikely]] {
-        // The eager return-point translation capacity-flushed the
-        // cache: every block this trace splices is gone. Abandon the
-        // trace (reading nothing block-owned) and re-enter through
-        // the counting dispatcher, like the baseline's flush-dirtied
-        // chain pointer does.
-        tx.kind = TraceExitKind::DispatchTo;
-        tx.target = op->imm;
-        return tx;
-    }
-    ++stats.traceFollows;
-    state.pc = op->imm;
-    if (stats.guestInsts >= guest_budget) [[unlikely]] {
-        stop.reason = VmStop::StepLimit;
-        stop.stopPc = state.pc;
-        tx.kind = TraceExitKind::Stop;
-        return tx;
-    }
-    op = ops + op->jumpTo;
-    goto *tbl[static_cast<size_t>(op->h)];
-}
-
-h_TraceEnd:
-    // Normal completion: hand the boundary instruction (a return,
-    // syscall, indirect or unchainable exit) to the block loop, which
-    // runs the full baseline machinery from here.
-    goto resume_owner;
-
-resume_owner: {
-    const TraceSegment &sg = tr->segs[op->seg];
-    state.pc = sg.guestPc;
-    tx.kind = TraceExitKind::Resume;
-    tx.blk = sg.blk;
-    tx.instIdx = op->instIdx;
-    return tx;
-}
-
-fault: {
-    // The faulting instruction is still accounted, exactly like the
-    // block loop's credit_through at a fault (credited base is 0
-    // inside a segment by construction).
-    stats.guestInsts += op->ti->guestCum;
-    stats.hostInsts += op->instIdx + 1;
-    stats.memReads += op->ti->memReadsCum;
-    stats.memWrites += op->ti->memWritesCum;
-    const TraceSegment &sg = tr->segs[op->seg];
-    state.pc = sg.guestPc;
-    stop.reason = VmStop::Fault;
-    stop.stopPc = sg.guestPc;
-    tx.kind = TraceExitKind::Stop;
-    return tx;
-}
-
-#undef R
-#undef NEXTOP
 }
 
 } // namespace hipstr

@@ -1,9 +1,9 @@
 /**
  * @file
  * Superblock traces: hot chains of translated blocks straight-lined
- * into a single pre-decoded instruction stream and executed by a
- * computed-goto threaded loop (PsrVm::runTrace) that never returns to
- * the dispatcher between on-trace blocks.
+ * into a single pre-decoded op stream that the trace JIT
+ * (jit::TraceJit) compiles to host code, so on-trace blocks never
+ * return to the dispatcher between one another.
  *
  * The layer sits strictly *behind* the dispatcher: traces are built
  * only from edges the dispatcher already chained, every off-trace
@@ -14,8 +14,8 @@
  * path that always ran them. Deterministic counters are folded from
  * the translate-time running totals at trace boundaries exactly as
  * the block loop folds them at block boundaries, so every counter the
- * benches export is byte-identical with tracing on or off; only
- * chainFollows/traceFollows split (an on-trace edge counts as a
+ * benches export is byte-identical with the trace tier on or off;
+ * only chainFollows/traceFollows split (an on-trace edge counts as a
  * traceFollow instead of a chainFollow), and neither feeds the timing
  * model or a deterministic BENCH json.
  *
@@ -41,17 +41,16 @@ namespace hipstr
 
 class CodeCache;
 
-/** The ALU ops the trace executor specializes per operand shape. */
-#define HIPSTR_TRACE_ALU_OPS(X)                                       \
+/** The ALU ops the trace JIT specializes per operand shape. */
+#define HIPSTR_SUPERTRACE_ALU_OPS(X)                                  \
     X(Add) X(Sub) X(And) X(Or) X(Xor) X(Shl) X(Shr) X(Sar) X(Mul)     \
     X(Divu)
 
 /**
- * Trace handler index. Every value names one computed-goto label in
- * PsrVm::runTrace; the label table there is built from the same
- * X-macros, so the orders match by construction. Operand shapes:
- * RR/RI register-register/immediate, RM register with memory source,
- * MR/MI memory destination (Cisc two-address slot forms).
+ * Trace op shape. Each value selects one code template in the trace
+ * JIT (vm/jit/compiler.cc). Operand shapes: RR/RI register-register/
+ * immediate, RM register with memory source, MR/MI memory destination
+ * (Cisc two-address slot forms).
  */
 enum class TraceH : uint16_t
 {
@@ -75,10 +74,10 @@ enum class TraceH : uint16_t
     PushR,
     PushI,
     PopR,
-#define HIPSTR_TRACE_ALU_ENUM(op)                                     \
+#define HIPSTR_SUPERTRACE_ALU_ENUM(op)                                \
     op##RR, op##RI, op##RM, op##MR, op##MI,
-    HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_ENUM)
-#undef HIPSTR_TRACE_ALU_ENUM
+    HIPSTR_SUPERTRACE_ALU_OPS(HIPSTR_SUPERTRACE_ALU_ENUM)
+#undef HIPSTR_SUPERTRACE_ALU_ENUM
     Exec,        ///< generic fallback: executeInstInline on ti->mi
     JccGuard,    ///< off-trace conditional: taken => side exit
     SegBranch,   ///< on-trace direct branch edge (block stub exit)
@@ -89,7 +88,7 @@ enum class TraceH : uint16_t
 };
 
 /**
- * One pre-decoded trace operation. Specialized handlers read only the
+ * One pre-decoded trace operation. Specialized shapes read only the
  * flat fields (registers, displacements, immediates); the source
  * TInst pointer serves the generic fallback and the fault fold. The
  * owning segment + instruction index let any op reconstruct the exact
@@ -147,7 +146,6 @@ struct SuperTrace
     {
         const void *entry = nullptr; ///< compiled body, or nullptr
         uint64_t gen = 0;            ///< arena generation stamp
-        bool failed = false;         ///< compile declined: interpret
         /**
          * Persistent per-op span-hint slots (one per TraceOp; only
          * memory ops consult theirs) and the Memory layout epoch
@@ -182,7 +180,6 @@ struct TraceStats
     uint64_t formed = 0;
     uint64_t attempts = 0;
     uint64_t invalidated = 0;
-    uint64_t sideExits = 0;
 };
 
 /**

@@ -130,18 +130,7 @@ struct ControlEvent
     }
 };
 
-/** FNV-1a over the mutable data image (globals + heap). The stack is
- * excluded: slot coloring legitimately scatters its contents. */
-uint64_t
-dataChecksum(const Memory &mem)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (Addr a = layout::kGlobalsBase; a < layout::kStackLimit; ++a) {
-        h ^= mem.rawRead8(a);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
+using test::dataChecksum;
 
 /** Reference indirect-control trace plus final-state fingerprint. */
 struct ReferenceTrace
@@ -350,80 +339,25 @@ TEST(Differential, InlineCacheFreshAfterRespawnReRandomize)
     }
 }
 
-TEST(Differential, SuperblockTracingOnOffMatchesReference)
-{
-    // Superblock traces are a pure execution-engine change: with
-    // tracing forced on, forced off, and against the reference
-    // interpreter, every workload on both ISAs across the full seed
-    // sweep must produce the identical indirect control trace, guest
-    // output, and mutable-data checksum. (Direct branches are
-    // excluded for the same reason as above: superblock *translation*
-    // inlines them at O1+.)
-    uint64_t on_follows_total = 0;
-    for (const std::string &name : allWorkloadNames()) {
-        WorkloadConfig wcfg;
-        wcfg.scale = 1;
-        FatBinary bin = compileModule(buildWorkload(name, wcfg));
-        for (IsaKind isa : kAllIsas) {
-            ReferenceTrace ref = referenceControlTrace(bin, isa);
-            for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-                for (PsrConfig::TraceMode mode :
-                     { PsrConfig::TraceMode::On,
-                       PsrConfig::TraceMode::Off }) {
-                    const bool tracing =
-                        mode == PsrConfig::TraceMode::On;
-                    const std::string label = name + "/" +
-                        isaName(isa) + "/seed=" +
-                        std::to_string(seed) +
-                        (tracing ? "/trace=on" : "/trace=off");
-                    Memory mem;
-                    loadFatBinary(bin, mem);
-                    GuestOs os;
-                    PsrConfig cfg;
-                    cfg.seed = seed;
-                    cfg.optLevel = unsigned(seed % 3) + 1;
-                    cfg.traceMode = mode;
-                    PsrVm vm(bin, isa, mem, os, cfg);
-                    std::vector<ControlEvent> got;
-                    vm.controlTraceHook = [&](Addr target,
-                                              char kind) {
-                        if (kind == 'I' || kind == 'R' || kind == 'J')
-                            got.push_back(ControlEvent{kind, target});
-                    };
-                    vm.reset();
-                    VmRunResult r = vm.run(kMaxInsts);
-                    ASSERT_EQ(r.reason, VmStop::Exited) << label;
-                    expectTraceMatches(got, ref, vm, os, mem, label);
-                    EXPECT_EQ(vm.tracingEnabled(), tracing) << label;
-                    if (tracing)
-                        on_follows_total += vm.stats.traceFollows;
-                    else
-                        EXPECT_EQ(vm.stats.traceFollows, 0u) << label;
-                }
-            }
-        }
-    }
-    // The sweep must actually exercise trace execution somewhere —
-    // a formation layer that never fires would pass vacuously.
-    EXPECT_GT(on_follows_total, 0u);
-}
-
 // ------------------------------------------------------------------
-// Trace-JIT differential sweeps.
+// Trace-tier differential sweeps.
 //
-// The JIT is a third execution engine under the same traces, so its
-// differential obligation is stronger than guest-visible equality:
-// every *deterministic* VmStats counter (guest/host instructions,
-// memory ops, trace follows) must be identical between HIPSTR_JIT
-// on and off — the counters are folded from the same translate-time
-// deltas at the same segment boundaries, and any divergence means
-// emitted code and threaded interpreter disagreed about what
-// executed. controlTraceHook is deliberately NOT installed here: it
-// is a per-entry JIT gate (hook runs need interpreter fidelity), so
-// these sweeps compare checksums and counters instead.
+// Superblock traces and the JIT that compiles them are a pure
+// execution-engine change, so the obligation is stronger than
+// guest-visible equality: every *deterministic* VmStats counter
+// (guest/host instructions, memory ops, security events) must be
+// identical between HIPSTR_JIT on and off — compiled traces fold the
+// same translate-time deltas at the same block boundaries as the
+// plain block loop, and any divergence means emitted code and the
+// block loop disagreed about what executed. On-trace edges count as
+// traceFollows instead of chainFollows, so only the sum
+// dispatches + chainFollows + traceFollows is compared.
+// controlTraceHook is deliberately NOT installed here: a hooked run
+// stays on the plain block loop, so these sweeps compare checksums
+// and counters instead.
 // ------------------------------------------------------------------
 
-/** Everything a JIT-vs-interpreter run pair must agree on. */
+/** Everything a JIT-vs-block-loop run pair must agree on. */
 struct EngineOutcome
 {
     uint32_t exitCode = 0;
@@ -433,6 +367,9 @@ struct EngineOutcome
     uint64_t hostInsts = 0;
     uint64_t memReads = 0;
     uint64_t memWrites = 0;
+    uint64_t securityEvents = 0;
+    /** dispatches + chainFollows + traceFollows (conserved). */
+    uint64_t transfers = 0;
     uint64_t traceFollows = 0;
     uint64_t jitExecutions = 0;
 
@@ -447,7 +384,8 @@ struct EngineOutcome
         EXPECT_EQ(hostInsts, o.hostInsts) << label;
         EXPECT_EQ(memReads, o.memReads) << label;
         EXPECT_EQ(memWrites, o.memWrites) << label;
-        EXPECT_EQ(traceFollows, o.traceFollows) << label;
+        EXPECT_EQ(securityEvents, o.securityEvents) << label;
+        EXPECT_EQ(transfers, o.transfers) << label;
     }
 };
 
@@ -469,7 +407,6 @@ engineRun(const FatBinary &bin, IsaKind isa, uint64_t seed,
     PsrConfig cfg;
     cfg.seed = seed;
     cfg.optLevel = unsigned(seed % 3) + 1;
-    cfg.traceMode = PsrConfig::TraceMode::On;
     cfg.jitMode = mode;
     PsrVm vm(bin, isa, mem, os, cfg);
     vm.reset();
@@ -496,6 +433,9 @@ engineRun(const FatBinary &bin, IsaKind isa, uint64_t seed,
     out.hostInsts = vm.stats.hostInsts;
     out.memReads = vm.stats.memReads;
     out.memWrites = vm.stats.memWrites;
+    out.securityEvents = vm.stats.securityEvents;
+    out.transfers = vm.stats.dispatches + vm.stats.chainFollows +
+        vm.stats.traceFollows;
     out.traceFollows = vm.stats.traceFollows;
     out.jitExecutions = vm.jitStats().executions;
     const char *reason = nullptr;
@@ -505,23 +445,26 @@ engineRun(const FatBinary &bin, IsaKind isa, uint64_t seed,
         << label;
     if (mode == PsrConfig::JitMode::Off) {
         EXPECT_EQ(out.jitExecutions, 0u) << label;
+        EXPECT_EQ(out.traceFollows, 0u) << label;
     }
     return out;
 }
 
 TEST(Differential, TraceJitOnOffMatchesReference)
 {
-    // Workloads x ISAs x seed sweep, each seed run under JIT forced
-    // on and forced off. Both runs must match the reference
-    // interpreter's guest-visible outcome AND each other's
+    // Workloads x ISAs x seed sweep (O1-O3), each seed run with the
+    // trace tier forced on and forced off. Both runs must match the
+    // reference interpreter's guest-visible outcome — exit code,
+    // output, and mutable-data checksum — AND each other's
     // deterministic counters.
     uint64_t jit_executions_total = 0;
+    uint64_t trace_follows_total = 0;
     for (const std::string &name : allWorkloadNames()) {
         WorkloadConfig wcfg;
         wcfg.scale = 1;
         FatBinary bin = compileModule(buildWorkload(name, wcfg));
         for (IsaKind isa : kAllIsas) {
-            Reference ref = referenceRun(bin, isa);
+            ReferenceTrace ref = referenceControlTrace(bin, isa);
             for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
                 const std::string label = name + "/" + isaName(isa) +
                     "/seed=" + std::to_string(seed);
@@ -531,19 +474,26 @@ TEST(Differential, TraceJitOnOffMatchesReference)
                 EngineOutcome on =
                     engineRun(bin, isa, seed, PsrConfig::JitMode::On,
                               0, label + "/jit=on");
-                EXPECT_EQ(off.exitCode, ref.exitCode) << label;
-                EXPECT_EQ(off.outputChecksum, ref.outputChecksum)
-                    << label;
+                for (const EngineOutcome *o : { &off, &on }) {
+                    EXPECT_EQ(o->exitCode, ref.exitCode) << label;
+                    EXPECT_EQ(o->outputChecksum, ref.outputChecksum)
+                        << label;
+                    EXPECT_EQ(o->dataChecksum, ref.dataChecksum)
+                        << label;
+                }
                 off.expectDeterministicallyEqual(on, label);
                 jit_executions_total += on.jitExecutions;
+                trace_follows_total += on.traceFollows;
             }
         }
     }
     const char *reason = nullptr;
     if (jit::TraceJit::hostSupported(&reason)) {
-        // On a JIT-capable host the sweep must actually run compiled
-        // code somewhere, or the comparison is vacuous.
+        // On a JIT-capable host the sweep must actually form traces
+        // and run compiled code somewhere, or the comparison is
+        // vacuous.
         EXPECT_GT(jit_executions_total, 0u);
+        EXPECT_GT(trace_follows_total, 0u);
     }
 }
 
@@ -590,7 +540,6 @@ TEST(Differential, TraceJitFreshAfterRespawnReRandomize)
             GuestOs os;
             PsrConfig cfg;
             cfg.seed = 5;
-            cfg.traceMode = PsrConfig::TraceMode::On;
             cfg.jitMode = mode;
             PsrVm vm(bin, isa, mem, os, cfg);
             for (int generation = 0; generation < 2; ++generation) {

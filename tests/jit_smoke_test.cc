@@ -3,12 +3,13 @@
  * Trace-JIT smoke tier (`ctest -L jit_smoke`): the fast canaries for
  * the direct x86-64 emission engine. Covers the steady-state shape
  * the fig9 measurement depends on (hot execution actually runs in
- * compiled code, with zero bailouts), side-exit equivalence against
- * the threaded trace interpreter, the tiny-arena eviction storm
- * (generational reclaim plus lazy recompilation), and the W^X
- * executable-arena round trip. On hosts where the JIT cannot run at
- * all (non-x86-64, sanitizer builds) the execution tests skip — the
- * differential suite still covers the interpreter there.
+ * compiled code, with zero bailouts), counter equivalence with side
+ * exits against the plain block loop, compile declines (the declined
+ * head falls back to the block loop for good), the tiny-arena
+ * eviction storm (generational reclaim plus lazy recompilation), and
+ * the W^X executable-arena round trip. On hosts where the JIT cannot
+ * run at all (non-x86-64, sanitizer builds) the execution tests skip
+ * — the differential suite still covers the block loop there.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "binary/loader.hh"
 #include "compiler/compile.hh"
 #include "isa/guest_os.hh"
+#include "test_util.hh"
 #include "vm/jit/arena.hh"
 #include "vm/jit/emitter.hh"
 #include "vm/jit/engine.hh"
@@ -36,18 +38,61 @@ jitHostOk()
     return jit::TraceJit::hostSupported(&reason);
 }
 
-/** Final counters of one steady-state hmmer run. */
+/** Final counters and guest outcome of one run. */
 struct SmokeRun
 {
     uint64_t guestInsts = 0;
+    uint64_t hostInsts = 0;
+    uint64_t memReads = 0;
+    uint64_t memWrites = 0;
+    uint64_t securityEvents = 0;
+    /** dispatches + chainFollows + traceFollows (conserved). */
+    uint64_t transfers = 0;
     uint64_t traceFollows = 0;
-    uint64_t traceSideExits = 0;
     jit::JitStats jit;
     uint64_t arenaGeneration = 0;
     size_t arenaUsed = 0;
     uint32_t exitCode = 0;
     uint64_t outputChecksum = 0;
+    uint64_t dataChecksum = 0;
 };
+
+SmokeRun
+harvest(const PsrVm &vm, const GuestOs &os, const Memory &mem)
+{
+    SmokeRun out;
+    out.guestInsts = vm.stats.guestInsts;
+    out.hostInsts = vm.stats.hostInsts;
+    out.memReads = vm.stats.memReads;
+    out.memWrites = vm.stats.memWrites;
+    out.securityEvents = vm.stats.securityEvents;
+    out.transfers = vm.stats.dispatches + vm.stats.chainFollows +
+        vm.stats.traceFollows;
+    out.traceFollows = vm.stats.traceFollows;
+    out.jit = vm.jitStats();
+    out.arenaGeneration = vm.jitEngine().arenaGeneration();
+    out.arenaUsed = vm.jitEngine().arenaUsed();
+    out.exitCode = os.exitCode();
+    out.outputChecksum = os.outputChecksum();
+    out.dataChecksum = test::dataChecksum(mem);
+    return out;
+}
+
+/** Every deterministic counter and guest outcome must agree. */
+void
+expectSameExecution(const SmokeRun &a, const SmokeRun &b,
+                    const std::string &label = "")
+{
+    EXPECT_EQ(a.exitCode, b.exitCode) << label;
+    EXPECT_EQ(a.outputChecksum, b.outputChecksum) << label;
+    EXPECT_EQ(a.dataChecksum, b.dataChecksum) << label;
+    EXPECT_EQ(a.guestInsts, b.guestInsts) << label;
+    EXPECT_EQ(a.hostInsts, b.hostInsts) << label;
+    EXPECT_EQ(a.memReads, b.memReads) << label;
+    EXPECT_EQ(a.memWrites, b.memWrites) << label;
+    EXPECT_EQ(a.securityEvents, b.securityEvents) << label;
+    EXPECT_EQ(a.transfers, b.transfers) << label;
+}
 
 SmokeRun
 steadyRun(PsrConfig::JitMode mode, size_t arena_bytes,
@@ -75,16 +120,26 @@ steadyRun(PsrConfig::JitMode mode, size_t arena_bytes,
             vm.reset();
         }
     }
-    SmokeRun out;
-    out.guestInsts = vm.stats.guestInsts;
-    out.traceFollows = vm.stats.traceFollows;
-    out.traceSideExits = vm.traceStats().sideExits;
-    out.jit = vm.jitStats();
-    out.arenaGeneration = vm.jitEngine().arenaGeneration();
-    out.arenaUsed = vm.jitEngine().arenaUsed();
-    out.exitCode = os.exitCode();
-    out.outputChecksum = os.outputChecksum();
-    return out;
+    return harvest(vm, os, mem);
+}
+
+/** One complete run of @p bin on @p isa, from entry to exit. */
+SmokeRun
+completeRun(const FatBinary &bin, IsaKind isa, PsrConfig::JitMode mode,
+            size_t arena_bytes, const std::string &label)
+{
+    Memory mem;
+    loadFatBinary(bin, mem);
+    GuestOs os;
+    PsrConfig cfg;
+    cfg.seed = 11;
+    cfg.jitMode = mode;
+    cfg.jitArenaBytes = arena_bytes;
+    PsrVm vm(bin, isa, mem, os, cfg);
+    vm.reset();
+    VmRunResult r = vm.run(400'000'000);
+    EXPECT_EQ(r.reason, VmStop::Exited) << label;
+    return harvest(vm, os, mem);
 }
 
 TEST(JitSmoke, SteadyStateIsJitDominated)
@@ -106,25 +161,46 @@ TEST(JitSmoke, SteadyStateIsJitDominated)
     EXPECT_GT(r.traceFollows, r.jit.executions);
 }
 
-TEST(JitSmoke, SideExitsMatchInterpreter)
+TEST(JitSmoke, SideExitsMatchBlockLoop)
 {
     if (!jitHostOk())
         GTEST_SKIP() << "trace JIT unsupported on this host/build";
     SmokeRun off = steadyRun(PsrConfig::JitMode::Off, 0, 2'000'000);
     SmokeRun on = steadyRun(PsrConfig::JitMode::On, 0, 2'000'000);
-    // Identical workload, seed, and budget: the trace engine's
-    // deterministic counters must not depend on which engine ran the
-    // trace bodies, and every guard that side-exits in the
-    // interpreter must side-exit in compiled code.
-    EXPECT_EQ(on.guestInsts, off.guestInsts);
-    EXPECT_EQ(on.traceFollows, off.traceFollows);
-    EXPECT_EQ(on.traceSideExits, off.traceSideExits);
-    EXPECT_EQ(on.exitCode, off.exitCode);
-    EXPECT_EQ(on.outputChecksum, off.outputChecksum);
-    // The engine-local mirror counts only JIT-taken side exits.
+    // Identical workload, seed, and budget: every side exit resumes
+    // the block loop at the guarded instruction, so compiled traces
+    // must retire exactly what the plain block loop retires.
+    expectSameExecution(on, off);
+    // Side exits actually fired (at most one per entry), and the Off
+    // run never formed or entered a trace.
     EXPECT_GT(on.jit.sideExits, 0u);
-    EXPECT_LE(on.jit.sideExits, on.traceSideExits);
+    EXPECT_LE(on.jit.sideExits, on.jit.executions);
     EXPECT_EQ(off.jit.executions, 0u);
+    EXPECT_EQ(off.traceFollows, 0u);
+}
+
+TEST(JitSmoke, DeclinedTracesRunInTheBlockLoop)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // A one-page arena cannot hold a trace body larger than a page,
+    // so the JIT declines those traces: each declined head must fall
+    // back to the block loop for good while smaller traces keep
+    // compiling, and the run must retire exactly what a JitMode::Off
+    // run retires.
+    FatBinary bin = compileModule(buildWorkload("sphinx3"));
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = isaName(isa);
+        SmokeRun off =
+            completeRun(bin, isa, PsrConfig::JitMode::Off, 4096, label);
+        SmokeRun on =
+            completeRun(bin, isa, PsrConfig::JitMode::On, 4096, label);
+        expectSameExecution(on, off, label);
+        EXPECT_GT(on.jit.bailouts, 0u)
+            << label << ": no trace body outgrew the arena";
+        EXPECT_GT(on.jit.executions, 0u) << label;
+        EXPECT_EQ(off.jit.bailouts, 0u) << label;
+    }
 }
 
 TEST(JitSmoke, TinyArenaEvictionStorm)
@@ -134,15 +210,19 @@ TEST(JitSmoke, TinyArenaEvictionStorm)
     // An arena smaller than the workload's compiled footprint forces
     // generational reclaim: every reset strands all compiled traces
     // and they recompile lazily on their next entry. The run must
-    // stay correct and keep executing compiled code throughout.
+    // stay correct and keep executing compiled code throughout. The
+    // arena still holds the largest single trace body, so nothing is
+    // declined and trace coverage matches the big-arena run.
+    constexpr size_t kTinyArena = 32 * 1024;
     SmokeRun big = steadyRun(PsrConfig::JitMode::On, 0, 1'000'000);
     SmokeRun tiny =
-        steadyRun(PsrConfig::JitMode::On, 16 * 1024, 1'000'000);
+        steadyRun(PsrConfig::JitMode::On, kTinyArena, 1'000'000);
     EXPECT_GT(tiny.arenaGeneration, big.arenaGeneration);
     EXPECT_GT(tiny.jit.compiledTraces, big.jit.compiledTraces)
         << "eviction must force recompilation";
     EXPECT_GT(tiny.jit.executions, 0u);
-    EXPECT_LE(tiny.arenaUsed, 16u * 1024u);
+    EXPECT_EQ(tiny.jit.bailouts, 0u);
+    EXPECT_LE(tiny.arenaUsed, kTinyArena);
     EXPECT_EQ(tiny.guestInsts, big.guestInsts);
     EXPECT_EQ(tiny.traceFollows, big.traceFollows);
     EXPECT_EQ(tiny.outputChecksum, big.outputChecksum);

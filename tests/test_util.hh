@@ -60,6 +60,19 @@ compileAndRun(const IrModule &module, IsaKind isa,
     return runNative(bin, isa, max_insts);
 }
 
+/** FNV-1a over the mutable data image (globals + heap). The stack is
+ * excluded: slot coloring legitimately scatters its contents. */
+inline uint64_t
+dataChecksum(const Memory &mem)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (Addr a = layout::kGlobalsBase; a < layout::kStackLimit; ++a) {
+        h ^= mem.rawRead8(a);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 } // namespace hipstr::test
 
 #endif // HIPSTR_TESTS_TEST_UTIL_HH
