@@ -30,6 +30,16 @@ stopReasonName(StopReason r)
 Interpreter::Interpreter(IsaKind isa, Memory &mem, GuestOs &os)
     : state(isa), _mem(mem), _os(os)
 {
+    flushDecoded();
+}
+
+void
+Interpreter::flushDecoded()
+{
+    for (Decoded &line : _decoded)
+        line.pc = kNoPc;
+    _decodedEpoch = _mem.codeEpoch();
+    _decodedIsa = state.isa;
 }
 
 RunResult
@@ -37,12 +47,22 @@ Interpreter::run(uint64_t maxInsts)
 {
     RunResult res;
     for (uint64_t i = 0; i < maxInsts; ++i) {
-        MachInst mi;
-        if (!decodeInst(state.isa, _mem, state.pc, mi)) {
-            res.reason = StopReason::BadInst;
-            res.stopPc = state.pc;
-            return res;
+        // Checked per instruction: syscalls and the trace hook may
+        // change code or the ISA between two steps.
+        if (_mem.codeEpoch() != _decodedEpoch ||
+            state.isa != _decodedIsa)
+            flushDecoded();
+        Decoded &line = _decoded[state.pc % kDecodedLines];
+        if (line.pc != state.pc) {
+            if (!decodeInst(state.isa, _mem, state.pc, line.mi)) {
+                line.pc = kNoPc;
+                res.reason = StopReason::BadInst;
+                res.stopPc = state.pc;
+                return res;
+            }
+            line.pc = state.pc;
         }
+        const MachInst &mi = line.mi;
         Addr pc_before = state.pc;
         // Pre-execution hook: operand base registers still hold their
         // input values, so the timing model can compute data

@@ -7,6 +7,7 @@
 #ifndef HIPSTR_ISA_INTERP_HH
 #define HIPSTR_ISA_INTERP_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
@@ -74,6 +75,12 @@ struct RunResult
  * The reference core: decodes and executes guest code directly from
  * memory with no translation or randomization. Native-performance
  * baselines and differential tests run on this.
+ *
+ * Each pc is decoded once: a direct-mapped cache of decoded
+ * instructions, tagged by pc, sits in front of decodeInst. The whole
+ * cache is dropped whenever Memory::codeEpoch() or state.isa differs
+ * from the values it was filled under, so a hit always equals what a
+ * fresh decode would return. Failed decodes are never cached.
  */
 class Interpreter
 {
@@ -93,8 +100,31 @@ class Interpreter
     std::function<void(const MachInst &, Addr pc)> traceHook;
 
   private:
+    /** One cache line: the decode of the instruction at @c pc. */
+    struct Decoded
+    {
+        uint64_t pc; ///< wider than Addr so kNoPc matches no pc
+        MachInst mi;
+    };
+
+    /**
+     * Lines in the decode cache. The table lives inside the object,
+     * not in a separate heap block: callers build interpreters next
+     * to a 24 MiB Memory image, and a second allocation there pins
+     * heap pages.
+     */
+    static constexpr size_t kDecodedLines = 4096;
+    /** Tag of an empty line. */
+    static constexpr uint64_t kNoPc = ~uint64_t(0);
+
+    /** Empty every line and restamp with the current epoch and ISA. */
+    void flushDecoded();
+
     Memory &_mem;
     GuestOs &_os;
+    uint64_t _decodedEpoch = 0;
+    IsaKind _decodedIsa = IsaKind::Cisc;
+    std::array<Decoded, kDecodedLines> _decoded;
 };
 
 } // namespace hipstr

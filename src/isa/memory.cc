@@ -18,6 +18,7 @@ Memory::setRegion(Addr base, uint32_t size, Perm perm,
                   const std::string &name)
 {
     hipstr_assert(static_cast<uint64_t>(base) + size <= _bytes.size());
+    hipstr_assert((perm & (PermW | PermX)) != (PermW | PermX));
     // Later definitions take precedence; keep the list small by
     // replacing an exact match.
     for (auto &r : _regions) {
@@ -36,6 +37,7 @@ void
 Memory::rebuildSpans()
 {
     ++_layoutEpoch;
+    ++_codeEpoch;
     // Every region edge is a potential permission change; resolve the
     // perm of each cell with the region list's last-definition-wins
     // rule, then merge equal neighbours. Region counts are single
@@ -103,10 +105,9 @@ Memory::rangeAccessible(Addr addr, uint32_t len,
 {
     if (static_cast<uint64_t>(addr) + len > _bytes.size())
         return false;
-    for (uint64_t a = addr; a < static_cast<uint64_t>(addr) + len; ++a)
-        if ((permAt(static_cast<Addr>(a)) & needed) != needed)
-            return false;
-    return true;
+    return len == 0 || !anySpanIn(addr, len, [needed](Perm p) {
+        return (p & needed) != needed;
+    });
 }
 
 uint8_t
@@ -195,11 +196,15 @@ Memory::fetch8(Addr addr) const
 size_t
 Memory::fetchBytes(Addr addr, uint8_t *out, size_t len) const
 {
+    if (addr >= _bytes.size())
+        return 0;
     size_t n = 0;
-    while (n < len && static_cast<uint64_t>(addr) + n < _bytes.size() &&
-           (permAt(addr + static_cast<Addr>(n)) & PermX)) {
-        out[n] = _bytes[addr + n];
-        ++n;
+    for (size_t i = spanIndex(addr);
+         n < len && i < _spans.size() && (_spans[i].perm & PermX); ++i) {
+        const size_t take =
+            std::min<size_t>(len - n, _spans[i].end - (addr + n));
+        std::memcpy(out + n, &_bytes[addr + n], take);
+        n += take;
     }
     return n;
 }
@@ -224,6 +229,7 @@ void
 Memory::rawWrite8(Addr addr, uint8_t v)
 {
     hipstr_assert(addr < _bytes.size());
+    noteRawWrite(addr, 1);
     _bytes[addr] = v;
 }
 
@@ -231,6 +237,7 @@ void
 Memory::rawWrite32(Addr addr, uint32_t v)
 {
     hipstr_assert(static_cast<uint64_t>(addr) + 4 <= _bytes.size());
+    noteRawWrite(addr, 4);
     std::memcpy(&_bytes[addr], &v, 4);
 }
 
@@ -238,6 +245,7 @@ void
 Memory::rawWriteBytes(Addr addr, const uint8_t *src, size_t len)
 {
     hipstr_assert(static_cast<uint64_t>(addr) + len <= _bytes.size());
+    noteRawWrite(addr, len);
     std::memcpy(&_bytes[addr], src, len);
 }
 
@@ -252,6 +260,7 @@ void
 Memory::zeroRange(Addr base, uint32_t len)
 {
     hipstr_assert(static_cast<uint64_t>(base) + len <= _bytes.size());
+    noteRawWrite(base, len);
     std::memset(&_bytes[base], 0, len);
 }
 

@@ -70,8 +70,7 @@ enum Perm : uint8_t
     PermW = 2,
     PermX = 4,
     PermRW = PermR | PermW,
-    PermRX = PermR | PermX,
-    PermRWX = PermR | PermW | PermX
+    PermRX = PermR | PermX
 };
 
 /**
@@ -95,7 +94,11 @@ class Memory
 
     Memory();
 
-    /** Define or redefine the permissions of [base, base+size). */
+    /**
+     * Define or redefine the permissions of [base, base+size). W^X:
+     * a permission granting both PermW and PermX panics in every
+     * build (see codeEpoch()).
+     */
     void setRegion(Addr base, uint32_t size, Perm perm,
                    const std::string &name);
 
@@ -109,15 +112,7 @@ class Memory
     {
         if (addr >= _bytes.size())
             return PermNone;
-        size_t lo = 0, hi = _spans.size() - 1;
-        while (lo < hi) {
-            size_t mid = (lo + hi) / 2;
-            if (addr < _spans[mid].end)
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
-        return static_cast<Perm>(_spans[lo].perm);
+        return static_cast<Perm>(_spans[spanIndex(addr)].perm);
     }
 
     /** Name of the region containing @p addr ("" if unmapped). */
@@ -224,15 +219,21 @@ class Memory
      * space and grants @p needed. Syscall argument validation uses
      * this to reject guest-supplied buffer pointers up front — a
      * guest-level error return instead of a host-side Fault halfway
-     * through the operation. Permission is checked per byte, so a
-     * range spanning a region boundary needs @p needed on both sides.
+     * through the operation. Every span the range overlaps must grant
+     * @p needed, so a range crossing a region boundary needs it on
+     * both sides.
      */
     bool rangeAccessible(Addr addr, uint32_t len,
                          Perm needed) const noexcept;
 
     /** Instruction fetch: like read but requires PermX. */
     uint8_t fetch8(Addr addr) const;
-    /** Fetch up to @p len bytes into @p out; stops at region end. */
+    /**
+     * Copy up to @p len bytes at @p addr into @p out, stopping at the
+     * first byte that is not executable or lies beyond the address
+     * space; returns the count copied. The containing span is found
+     * once and whole executable spans are copied at a time.
+     */
     size_t fetchBytes(Addr addr, uint8_t *out, size_t len) const;
 
     /**
@@ -275,6 +276,21 @@ class Memory
     uint64_t layoutEpoch() const { return _layoutEpoch; }
 
     /**
+     * Monotonic stamp of the executable bytes: bumped on every region
+     * change and by every raw write or zeroRange() that touches an
+     * executable byte. While it stands still, decoding any pc yields
+     * the same instruction, so decoded-instruction caches (the
+     * reference interpreter's) are valid only under the stamp they
+     * were filled with.
+     *
+     * W^X makes this sound without a check on the checked paths: no
+     * region is both writable and executable (setRegion enforces it),
+     * and checked writes and the trace JIT's hinted stores require
+     * PermW, so they never change code.
+     */
+    uint64_t codeEpoch() const { return _codeEpoch; }
+
+    /**
      * Journaling: while enabled, checked writes record the bytes they
      * overwrite; rollback() restores them (newest first). The gadget
      * sandbox uses this to execute thousands of candidate gadgets
@@ -287,6 +303,44 @@ class Memory
   private:
     void journalBytes(Addr addr, unsigned len);
 
+    /** Index of the span containing @p addr (< size()). */
+    size_t spanIndex(Addr addr) const noexcept
+    {
+        size_t lo = 0, hi = _spans.size() - 1;
+        while (lo < hi) {
+            size_t mid = (lo + hi) / 2;
+            if (addr < _spans[mid].end)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        return lo;
+    }
+
+    /**
+     * True iff some span overlapping the non-empty in-bounds range
+     * [addr, addr+len) satisfies @p pred on its permission.
+     */
+    template <typename Pred>
+    bool anySpanIn(Addr addr, uint64_t len, Pred pred) const noexcept
+    {
+        const uint64_t end = static_cast<uint64_t>(addr) + len;
+        for (size_t i = spanIndex(addr);; ++i) {
+            if (pred(static_cast<Perm>(_spans[i].perm)))
+                return true;
+            if (_spans[i].end >= end)
+                return false;
+        }
+    }
+
+    /** Bump codeEpoch() if a raw write to the range changes code. */
+    void noteRawWrite(Addr addr, uint64_t len) noexcept
+    {
+        if (len != 0 &&
+            anySpanIn(addr, len, [](Perm p) { return (p & PermX) != 0; }))
+            ++_codeEpoch;
+    }
+
     void check(Addr addr, unsigned len, Perm needed) const;
 
     /**
@@ -298,14 +352,7 @@ class Memory
      */
     void refillHint(SpanHint &h, Addr addr) const noexcept
     {
-        size_t lo = 0, hi = _spans.size() - 1;
-        while (lo < hi) {
-            size_t mid = (lo + hi) / 2;
-            if (addr < _spans[mid].end)
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
+        const size_t lo = spanIndex(addr);
         h.lo = lo == 0 ? 0 : _spans[lo - 1].end;
         Addr span_last = _spans[lo].end - 1;
         Addr bound_last = static_cast<Addr>(_bytes.size()) - 4;
@@ -347,6 +394,7 @@ class Memory
     std::vector<Region> _regions;
     std::vector<Span> _spans;
     uint64_t _layoutEpoch = 0; ///< incremented by rebuildSpans()
+    uint64_t _codeEpoch = 0;   ///< see codeEpoch()
     bool _journaling = false;
     std::vector<std::pair<Addr, uint8_t>> _journal;
 };

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/codec.hh"
 #include "test_util.hh"
 #include "vm/jit/engine.hh"
 #include "vm/psr_vm.hh"
@@ -76,6 +77,51 @@ TEST(Differential, EveryWorkloadBothIsasAcrossSeeds)
                     name + "/" + isaName(isa) + "/seed=" +
                         std::to_string(seed));
             }
+        }
+    }
+}
+
+/** Field-wise equality of two decoded instructions. */
+bool
+sameInst(const MachInst &a, const MachInst &b)
+{
+    return a.op == b.op && a.cond == b.cond && a.dst == b.dst &&
+        a.src1 == b.src1 && a.src2 == b.src2 && a.target == b.target &&
+        a.size == b.size;
+}
+
+TEST(Differential, ReferenceInterpreterMatchesRawDecode)
+{
+    // The reference interpreter executes cached decodes. Every
+    // instruction it executes must equal a fresh decodeInst at that
+    // pc, or the oracle the VM is checked against is itself wrong.
+    for (const std::string &name : allWorkloadNames()) {
+        WorkloadConfig wcfg;
+        wcfg.scale = 1;
+        FatBinary bin = compileModule(buildWorkload(name, wcfg));
+        for (IsaKind isa : kAllIsas) {
+            const std::string label = name + "/" + isaName(isa);
+            Memory mem;
+            loadFatBinary(bin, mem);
+            GuestOs os;
+            Interpreter interp(isa, mem, os);
+            initMachineState(interp.state, bin, isa);
+            uint64_t checked = 0, mismatches = 0;
+            Addr first_bad = 0;
+            interp.traceHook = [&](const MachInst &mi, Addr pc) {
+                ++checked;
+                MachInst raw;
+                if (!decodeInst(isa, mem, pc, raw) ||
+                    !sameInst(mi, raw)) {
+                    if (mismatches++ == 0)
+                        first_bad = pc;
+                }
+            };
+            RunResult r = interp.run(kMaxInsts);
+            EXPECT_EQ(r.reason, StopReason::Exited) << label;
+            EXPECT_EQ(checked, r.instsExecuted) << label;
+            EXPECT_EQ(mismatches, 0u)
+                << label << ": first at pc 0x" << std::hex << first_bad;
         }
     }
 }

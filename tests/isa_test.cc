@@ -1,11 +1,14 @@
 /**
  * @file
  * ISA-layer unit tests: instruction semantics on hand-assembled
- * programs, flags and conditions, memory permissions and journaling,
- * and the guest OS interface.
+ * programs, flags and conditions, the interpreter's decode cache,
+ * memory permissions, span walks, code epochs and journaling, and the
+ * guest OS interface.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "isa/codec.hh"
 #include "isa/guest_os.hh"
@@ -227,12 +230,133 @@ TEST_P(IsaSemantics, WritingCodeFaults)
 
 TEST_P(IsaSemantics, JumpToUnmappedCrashes)
 {
-    MiniMachine m(GetParam());
-    auto r = m.run(cat({
-        m.movImm(1, 0x00700000), // unmapped
-        { MachInst::jmpInd(1) },
-    }));
-    EXPECT_EQ(r.reason, StopReason::BadInst);
+    // 0xffffffff is past the address space too, and must not pass for
+    // an empty line of the interpreter's decode cache.
+    for (Addr target : { Addr(0x00700000), Addr(0xffffffff) }) {
+        MiniMachine m(GetParam());
+        auto r = m.run(cat({
+            m.movImm(1, static_cast<int32_t>(target)),
+            { MachInst::jmpInd(1) },
+        }));
+        EXPECT_EQ(r.reason, StopReason::BadInst) << std::hex << target;
+        EXPECT_EQ(r.stopPc, target);
+    }
+}
+
+// ------------------------------------------------------------------
+// Decode cache. The interpreter decodes each pc once; a code patch
+// (raw write) or an ISA switch between two run() calls must drop the
+// cached decodes, so resuming equals a fresh interpreter started from
+// the same state on the same image.
+// ------------------------------------------------------------------
+
+/** Index of `add r0, 1`, the instruction the patch test rewrites. */
+constexpr size_t kLoopAdd = 3;
+
+/** Byte offset of insts[kLoopAdd] from the start of the program. */
+Addr
+loopOffset(IsaKind isa, const std::vector<MachInst> &insts)
+{
+    Addr off = 0;
+    for (size_t i = 0; i < kLoopAdd; ++i)
+        off += encodedSize(isa, insts[i]);
+    return off;
+}
+
+/** r0 += 1 fifty times in a counted loop, then halt. */
+std::vector<MachInst>
+countingLoop(IsaKind isa)
+{
+    std::vector<MachInst> insts = {
+        MachInst::movRI(0, 0),
+        MachInst::movRI(1, 0),
+        MachInst::movRI(2, 50),
+        MachInst::alu(Op::Add, 0, 0, Operand::makeImm(1)),
+        MachInst::alu(Op::Add, 1, 1, Operand::makeImm(1)),
+        MachInst::cmp(Operand::makeReg(1), Operand::makeReg(2)),
+        MachInst::jcc(Cond::Lt, 0), // patched below
+        MachInst::halt(),
+    };
+    insts[6].target = layout::codeBase(isa) + loopOffset(isa, insts);
+    return insts;
+}
+
+/** Run @p a and @p b to a stop; both must end identically. */
+RunResult
+expectSameRun(Interpreter &a, Interpreter &b)
+{
+    RunResult ra = a.run(10'000);
+    RunResult rb = b.run(10'000);
+    EXPECT_EQ(ra.reason, rb.reason);
+    EXPECT_EQ(ra.instsExecuted, rb.instsExecuted);
+    EXPECT_EQ(ra.stopPc, rb.stopPc);
+    EXPECT_EQ(a.state.isa, b.state.isa);
+    EXPECT_EQ(a.state.regs, b.state.regs);
+    EXPECT_TRUE(a.state.flags == b.state.flags);
+    EXPECT_EQ(a.state.pc, b.state.pc);
+    return ra;
+}
+
+TEST_P(IsaSemantics, DecodeCacheSeesRawCodePatch)
+{
+    const IsaKind isa = GetParam();
+    const std::vector<MachInst> prog = countingLoop(isa);
+    MiniMachine m(isa), fresh(isa);
+    const Addr entry = m.assemble(prog);
+    fresh.assemble(prog);
+
+    Interpreter interp(isa, m.mem, m.os);
+    interp.state.pc = entry;
+    interp.state.setSp(layout::kStackTop - 64);
+    ASSERT_EQ(interp.run(20).reason, StopReason::StepLimit);
+
+    // Rewrite `add r0, 1` into `add r0, 7` in both images, one
+    // rawWrite8 per changed byte, while the loop body is cached.
+    const Addr at = entry + loopOffset(isa, prog);
+    MachInst add7 = prog[kLoopAdd];
+    add7.src2 = Operand::makeImm(7);
+    std::vector<uint8_t> before, after;
+    encodeInst(isa, prog[kLoopAdd], at, before);
+    encodeInst(isa, add7, at, after);
+    ASSERT_EQ(before.size(), after.size());
+    ASSERT_NE(before, after);
+    for (size_t i = 0; i < after.size(); ++i) {
+        if (before[i] != after[i]) {
+            m.mem.rawWrite8(at + Addr(i), after[i]);
+            fresh.mem.rawWrite8(at + Addr(i), after[i]);
+        }
+    }
+
+    Interpreter ref(isa, fresh.mem, fresh.os);
+    ref.state = interp.state;
+    EXPECT_EQ(expectSameRun(interp, ref).reason, StopReason::Halted);
+    EXPECT_GT(interp.state.reg(0), 50u); // the patched add ran
+}
+
+TEST_P(IsaSemantics, DecodeCacheSeesIsaSwitch)
+{
+    // Same bytes, same pc, other decoder: nothing decoded under the
+    // first ISA may be reused under the second.
+    const IsaKind isa = GetParam();
+    const IsaKind other =
+        isa == IsaKind::Risc ? IsaKind::Cisc : IsaKind::Risc;
+    const std::vector<MachInst> prog = countingLoop(isa);
+    MiniMachine m(isa), fresh(isa);
+    const Addr entry = m.assemble(prog);
+    fresh.assemble(prog);
+
+    Interpreter interp(isa, m.mem, m.os);
+    interp.state.pc = entry;
+    interp.state.setSp(layout::kStackTop - 64);
+    ASSERT_EQ(interp.run(20).reason, StopReason::StepLimit);
+
+    MachineState switched(other);
+    switched.pc = interp.state.pc;
+    switched.setSp(layout::kStackTop - 64);
+    interp.state = switched;
+    Interpreter ref(other, fresh.mem, fresh.os);
+    ref.state = switched;
+    expectSameRun(interp, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothIsas, IsaSemantics,
@@ -267,6 +391,154 @@ TEST(Memory, PermissionLayering)
     EXPECT_EQ(mem.permAt(0x1880), PermR);
     EXPECT_THROW(mem.write32(0x1880, 1), Memory::Fault);
     EXPECT_NO_THROW(mem.write32(0x1400, 1));
+}
+
+// ------------------------------------------------------------------
+// Span walks. fetchBytes and rangeAccessible resolve whole permission
+// spans; both must agree with the per-byte rule they replaced at every
+// address near every span edge.
+// ------------------------------------------------------------------
+
+/** fetchBytes by the per-byte rule: copy while executable. */
+size_t
+fetchPerByte(const Memory &mem, Addr addr, uint8_t *out, size_t len)
+{
+    size_t n = 0;
+    while (n < len && uint64_t(addr) + n < mem.size() &&
+           (mem.permAt(addr + Addr(n)) & PermX)) {
+        out[n] = mem.data()[addr + n];
+        ++n;
+    }
+    return n;
+}
+
+/** rangeAccessible by the per-byte rule. */
+bool
+accessiblePerByte(const Memory &mem, Addr addr, uint32_t len,
+                  Perm needed)
+{
+    if (uint64_t(addr) + len > mem.size())
+        return false;
+    for (uint64_t a = addr; a < uint64_t(addr) + len; ++a)
+        if ((mem.permAt(Addr(a)) & needed) != needed)
+            return false;
+    return true;
+}
+
+TEST(Memory, SpanWalksMatchPerByteRuleNearEveryEdge)
+{
+    Memory mem;
+    const Addr end = layout::kMemEnd;
+    mem.setRegion(0x1000, 0x40, PermRX, "code");   // RX next to R
+    mem.setRegion(0x1040, 0x40, PermR, "rodata");
+    mem.setRegion(0x2000, 0x40, PermRX, "code-a"); // merge into one
+    mem.setRegion(0x2040, 0x40, PermRX, "code-b"); //   RX span
+    mem.setRegion(0x3000, 0x40, PermRX, "code-c"); // two executable
+    mem.setRegion(0x3040, 0x40, PermX, "xonly");   //   spans in a row
+    mem.setRegion(0x3080, 0x40, PermRW, "data");
+    mem.setRegion(end - 0x40, 0x40, PermRX, "tail"); // ends the space
+    std::vector<uint8_t> pattern(0x4000);
+    for (size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = uint8_t(i * 37 + 11);
+    mem.rawWriteBytes(0, pattern.data(), pattern.size());
+    mem.rawWriteBytes(end - 0x100, pattern.data(), 0x100);
+
+    const Addr edges[] = { 0x1000, 0x1040, 0x1080, 0x2000, 0x2040,
+                           0x2080, 0x3000, 0x3040, 0x3080, 0x30c0,
+                           end - 0x40, end };
+    const Perm perms[] = { PermR, PermW, PermX, PermRX, PermRW };
+    for (Addr edge : edges) {
+        for (Addr addr = edge - 16; addr < edge + 16; ++addr) {
+            for (uint32_t len = 1; len <= 16; ++len) {
+                uint8_t got[16] = {}, want[16] = {};
+                const size_t n = mem.fetchBytes(addr, got, len);
+                ASSERT_EQ(n, fetchPerByte(mem, addr, want, len))
+                    << std::hex << "addr 0x" << addr << " len " << len;
+                ASSERT_EQ(0, std::memcmp(got, want, n))
+                    << std::hex << "addr 0x" << addr << " len " << len;
+                for (Perm p : perms) {
+                    ASSERT_EQ(mem.rangeAccessible(addr, len, p),
+                              accessiblePerByte(mem, addr, len, p))
+                        << std::hex << "addr 0x" << addr << " len "
+                        << len << " perm " << int(p);
+                }
+            }
+        }
+    }
+}
+
+/** True iff @p op moved @p mem's code epoch. */
+template <typename Op>
+bool
+movesCodeEpoch(const Memory &mem, Op &&op)
+{
+    const uint64_t before = mem.codeEpoch();
+    op();
+    return mem.codeEpoch() != before;
+}
+
+TEST(Memory, CodeEpochMovesWhenCodeMayChange)
+{
+    Memory mem;
+    mem.setRegion(0x1000, 0x100, PermRX, "code");
+    mem.setRegion(0x1100, 0x100, PermRW, "data");
+    const uint8_t bytes[8] = { 1, 2, 3, 4, 5, 6, 7, 8 };
+    EXPECT_TRUE(movesCodeEpoch(mem, [&] { mem.rawWrite8(0x1000, 1); }));
+    EXPECT_TRUE(movesCodeEpoch(mem, [&] { mem.rawWrite8(0x10ff, 1); }));
+    // Ranges that only overlap code at one end.
+    EXPECT_TRUE(movesCodeEpoch(mem, [&] { mem.rawWrite32(0x0ffd, 1); }));
+    EXPECT_TRUE(movesCodeEpoch(mem, [&] { mem.rawWrite32(0x10fe, 1); }));
+    EXPECT_TRUE(movesCodeEpoch(
+        mem, [&] { mem.rawWriteBytes(0x10fc, bytes, 8); }));
+    EXPECT_TRUE(movesCodeEpoch(
+        mem, [&] { mem.rawWriteBytes(0x0ff9, bytes, 8); }));
+    EXPECT_TRUE(
+        movesCodeEpoch(mem, [&] { mem.zeroRange(0x0f00, 0x101); }));
+    EXPECT_TRUE(
+        movesCodeEpoch(mem, [&] { mem.zeroRange(0x10ff, 0x101); }));
+    // Any region change, even one far from code.
+    EXPECT_TRUE(movesCodeEpoch(
+        mem, [&] { mem.setRegion(0x8000, 0x100, PermRW, "more"); }));
+    EXPECT_TRUE(movesCodeEpoch(
+        mem, [&] { mem.setRegion(0x1000, 0x100, PermR, "code"); }));
+}
+
+TEST(Memory, CodeEpochStillOnDataWrites)
+{
+    Memory mem;
+    mem.setRegion(0x1000, 0x100, PermRX, "code");
+    mem.setRegion(0x1100, 0x100, PermRW, "data");
+    const uint8_t bytes[8] = { 1, 2, 3, 4, 5, 6, 7, 8 };
+    // Raw writes next to code but not into it.
+    EXPECT_FALSE(movesCodeEpoch(mem, [&] { mem.rawWrite8(0x1100, 1); }));
+    EXPECT_FALSE(movesCodeEpoch(mem, [&] { mem.rawWrite8(0x0fff, 1); }));
+    EXPECT_FALSE(movesCodeEpoch(mem, [&] { mem.rawWrite32(0x0ffc, 1); }));
+    EXPECT_FALSE(
+        movesCodeEpoch(mem, [&] { mem.rawWrite32(0x11fc, 1); }));
+    EXPECT_FALSE(movesCodeEpoch(
+        mem, [&] { mem.rawWriteBytes(0x1100, bytes, 8); }));
+    EXPECT_FALSE(
+        movesCodeEpoch(mem, [&] { mem.zeroRange(0x0f00, 0x100); }));
+    EXPECT_FALSE(
+        movesCodeEpoch(mem, [&] { mem.zeroRange(0x1100, 0x100); }));
+    EXPECT_FALSE(movesCodeEpoch(mem, [&] { mem.zeroRange(0x1000, 0); }));
+    // Checked writes need PermW, which code never has.
+    EXPECT_FALSE(movesCodeEpoch(mem, [&] { mem.write32(0x1100, 1); }));
+    EXPECT_FALSE(movesCodeEpoch(mem, [&] { mem.write8(0x11ff, 1); }));
+    EXPECT_FALSE(movesCodeEpoch(
+        mem, [&] { EXPECT_TRUE(mem.tryWrite32(0x1104, 1)); }));
+    EXPECT_FALSE(movesCodeEpoch(
+        mem, [&] { EXPECT_FALSE(mem.tryWrite8(0x1000, 1)); }));
+    EXPECT_FALSE(movesCodeEpoch(
+        mem, [&] { EXPECT_THROW(mem.write32(0x10fc, 1), Memory::Fault); }));
+}
+
+TEST(MemoryDeathTest, WritableExecutableRegionIsRejected)
+{
+    Memory mem;
+    EXPECT_DEATH(mem.setRegion(0x1000, 0x100,
+                               static_cast<Perm>(PermW | PermX), "wx"),
+                 "assertion failed");
 }
 
 TEST(GuestOs, WriteBufAndChecksum)
