@@ -175,17 +175,19 @@ class Memory
     /** @} */
 
     /**
-     * Span hint: a word-access fast path for loops whose addresses
+     * Span hint: an access fast path for loops whose addresses
      * cluster inside one permission span (stack frames, the relocated
-     * register slots, a hot array). The hint caches the inclusive
-     * range of base addresses for which a 4-byte access is known
-     * legal, so a hit replaces the permAt binary search with one range
-     * compare. Hints hold no pointers and are invalidated by
-     * layoutEpoch() (bumped on every setRegion); the trace JIT keeps
-     * one persistent hint per memory op and clears its table when the
-     * epoch moves. Traces never reach setRegion (syscalls end a
+     * register slots, a hot array or byte buffer). The hint caches the
+     * inclusive range of base addresses for which an access of one
+     * fixed length (4 bytes or 1) is known legal, so a hit replaces
+     * the permAt binary search with one range compare. Hints hold no
+     * pointers and are invalidated by layoutEpoch() (bumped on every
+     * setRegion); the trace JIT keeps one persistent hint per memory
+     * op — each op has one access length — and clears its table when
+     * the epoch moves. Traces never reach setRegion (syscalls end a
      * trace). A hit performs exactly the access tryRead32/tryWrite32
-     * would, so the hint is semantically invisible.
+     * (or tryRead8/tryWrite8) would, so the hint is semantically
+     * invisible.
      *
      * A hint is direction-specific: the cached window proves only the
      * permission of the probe that established it. The JIT's
@@ -208,10 +210,18 @@ class Memory
     bool
     probe32Span(SpanHint &h, Addr addr, Perm needed) const noexcept
     {
-        if (!checkOk(addr, 4, needed))
-            return false;
-        refillHint(h, addr);
-        return true;
+        return probeSpan(h, addr, 4, needed);
+    }
+
+    /**
+     * probe32Span for a 1-byte access: the refilled window reaches
+     * size()-1, where the 4-byte window stops at size()-4, so a legal
+     * byte access at the very top of the address space hits.
+     */
+    bool
+    probe8Span(SpanHint &h, Addr addr, Perm needed) const noexcept
+    {
+        return probeSpan(h, addr, 1, needed);
     }
 
     /**
@@ -343,19 +353,29 @@ class Memory
 
     void check(Addr addr, unsigned len, Perm needed) const;
 
+    /** Shared body of probe32Span/probe8Span. */
+    bool probeSpan(SpanHint &h, Addr addr, unsigned len,
+                   Perm needed) const noexcept
+    {
+        if (!checkOk(addr, len, needed))
+            return false;
+        refillHint(h, addr, len);
+        return true;
+    }
+
     /**
      * Point @p h at the widest window around @p addr for which a
-     * 4-byte access with the just-verified permission stays legal:
-     * base addresses within the containing span whose first byte rule
-     * and the address-space bound both hold. Caller has already passed
-     * checkOk(addr, 4, perm).
+     * @p len-byte access with the just-verified permission stays
+     * legal: base addresses within the containing span whose first
+     * byte rule and the address-space bound both hold. Caller has
+     * already passed checkOk(addr, len, perm).
      */
-    void refillHint(SpanHint &h, Addr addr) const noexcept
+    void refillHint(SpanHint &h, Addr addr, unsigned len) const noexcept
     {
         const size_t lo = spanIndex(addr);
         h.lo = lo == 0 ? 0 : _spans[lo - 1].end;
         Addr span_last = _spans[lo].end - 1;
-        Addr bound_last = static_cast<Addr>(_bytes.size()) - 4;
+        Addr bound_last = static_cast<Addr>(_bytes.size()) - len;
         h.hi = span_last < bound_last ? span_last : bound_last;
     }
 

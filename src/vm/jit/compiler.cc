@@ -87,12 +87,10 @@ struct RegUse
 RegUse
 regUse(TraceH h)
 {
-    // ALU shapes repeat every 5 starting at AddRR; reduce to a shape
-    // index: 0 RR, 1 RI, 2 RM, 3 MR, 4 MI.
-    if (h >= TraceH::AddRR && h < TraceH::Exec) {
-        switch ((static_cast<int>(h) -
-                 static_cast<int>(TraceH::AddRR)) %
-                5) {
+    // ALU shapes repeat every 5; reduce to a shape index: 0 RR, 1 RI,
+    // 2 RM, 3 MR, 4 MI.
+    if (const int alu = traceAluIndex(h); alu >= 0) {
+        switch (alu % 5) {
           case 0: return {true, true, true};   // a <- b op c
           case 1: return {true, true, false};  // a <- b op imm
           case 2: return {true, true, true};   // a <- b op [c+d]
@@ -106,6 +104,9 @@ regUse(TraceH h)
       case TraceH::MovRM: return {true, true, false};
       case TraceH::MovMR: return {true, true, false};
       case TraceH::MovMI: return {true, false, false};
+      case TraceH::MovbRM: return {true, true, false};
+      case TraceH::MovbMR: return {true, true, false};
+      case TraceH::MovbMI: return {true, false, false};
       case TraceH::Lea: return {true, true, false};
       case TraceH::MovHi: return {true, false, false};
       case TraceH::CmpRR: return {false, true, true};
@@ -251,6 +252,19 @@ class TraceCompiler
 
     Mem guestMemAtRdx() const { return Mem(kMemReg, RDX, 0); }
 
+    /**
+     * Open a memory op: bind the label its hint miss retries from and
+     * return the miss blob's label.
+     */
+    int
+    beginMemOp(uint32_t idx)
+    {
+        int retry = _em.newLabel();
+        _em.bind(retry);
+        _eflagsLive = false;
+        return missBlob(idx, retry);
+    }
+
     /** SETcc the four guest flag bytes from live EFLAGS. */
     void
     materializeFlags()
@@ -345,7 +359,7 @@ class TraceCompiler
         _eflagsLive = false;
     }
 
-    bool compileOp(uint32_t idx, const TraceOp &op);
+    void compileOp(uint32_t idx, const TraceOp &op);
     void compileAluRR(uint8_t loadOp, const TraceOp &op);
     void compileAluRI(uint8_t immN, const TraceOp &op);
     void emitTailBlobs();
@@ -455,14 +469,12 @@ TraceCompiler::compileAluRI(uint8_t immN, const TraceOp &op)
     writeReg(op.a, RAX);
 }
 
-bool
+void
 TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
 {
     const TraceH h = op.h;
-    // Memory ops and ALU groups first (contiguous enum ranges).
-    if (h >= TraceH::AddRR && h < TraceH::Exec) {
-        const int aluIdx = (static_cast<int>(h) -
-                            static_cast<int>(TraceH::AddRR));
+    // ALU groups first (a contiguous enum range).
+    if (const int aluIdx = traceAluIndex(h); aluIdx >= 0) {
         const int shape = aluIdx % 5; // RR RI RM MR MI
         const int kind = aluIdx / 5;  // Add..Divu (X-macro order)
         enum
@@ -519,7 +531,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
                 _em.bind(done);
                 writeReg(op.a, RAX);
             }
-            return true;
+            return;
         }
         if (shape == 1) { // a <- b op imm2
             _eflagsLive = false;
@@ -554,22 +566,19 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
                     writeReg(op.a, RAX);
                 }
             }
-            return true;
+            return;
         }
 
         // Memory shapes: the op starts at a retry label (hint misses
         // call the probe, then re-run the op from here).
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         if (shape == 2) { // a <- b op [R(c)+imm2]
             emitAddr(op.c, op.imm2);
             emitHintCheck(idx, miss);
             if (basic && op.a == op.b && isAlloc(op.a)) {
                 _em.aluRM32(loadOps[kind], host(op.a),
                             guestMemAtRdx());
-                return true;
+                return;
             }
             _em.movRM32(RCX, guestMemAtRdx()); // v
             uint8_t vb = readReg(op.b, RAX);
@@ -593,7 +602,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
                 _em.bind(done);
             }
             writeReg(op.a, RAX);
-            return true;
+            return;
         }
         // Shapes 3/4: slot <- alu(slot, src) at [R(a)+imm].
         emitAddr(op.a, op.imm);
@@ -651,7 +660,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         if (addrClobbered)
             emitAddr(op.a, op.imm); // div used edx; R(a) unchanged
         _em.movMR32(guestMemAtRdx(), RAX);
-        return true;
+        return;
     }
 
     switch (h) {
@@ -666,49 +675,50 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             _em.movRM32(RAX, home(op.b));
             _em.movMR32(home(op.a), RAX);
         }
-        return true;
+        return;
 
       case TraceH::MovRI:
         writeRegImm(op.a, op.imm);
-        return true;
+        return;
 
-      case TraceH::MovRM: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+      case TraceH::MovRM:
+      case TraceH::MovbRM: {
+        int miss = beginMemOp(idx);
         emitAddr(op.b, op.imm);
         emitHintCheck(idx, miss);
-        if (isAlloc(op.a)) {
-            _em.movRM32(host(op.a), guestMemAtRdx());
-        } else {
-            _em.movRM32(RAX, guestMemAtRdx());
+        const uint8_t dst = isAlloc(op.a) ? host(op.a) : uint8_t{RAX};
+        if (h == TraceH::MovbRM)
+            _em.movzxRM8(dst, guestMemAtRdx());
+        else
+            _em.movRM32(dst, guestMemAtRdx());
+        if (!isAlloc(op.a))
             _em.movMR32(home(op.a), RAX);
-        }
-        return true;
+        return;
       }
 
-      case TraceH::MovMR: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+      case TraceH::MovMR:
+      case TraceH::MovbMR: {
+        int miss = beginMemOp(idx);
         emitAddr(op.a, op.imm);
         emitHintCheck(idx, miss);
         uint8_t src = readReg(op.b, RAX);
-        _em.movMR32(guestMemAtRdx(), src);
-        return true;
+        if (h == TraceH::MovbMR)
+            _em.movMR8(guestMemAtRdx(), src);
+        else
+            _em.movMR32(guestMemAtRdx(), src);
+        return;
       }
 
-      case TraceH::MovMI: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+      case TraceH::MovMI:
+      case TraceH::MovbMI: {
+        int miss = beginMemOp(idx);
         emitAddr(op.a, op.imm);
         emitHintCheck(idx, miss);
-        _em.movMI32(guestMemAtRdx(), op.imm2);
-        return true;
+        if (h == TraceH::MovbMI)
+            _em.movMI8(guestMemAtRdx(), static_cast<uint8_t>(op.imm2));
+        else
+            _em.movMI32(guestMemAtRdx(), op.imm2);
+        return;
       }
 
       case TraceH::Lea:
@@ -733,7 +743,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             }
             _em.movMR32(home(op.a), vb);
         }
-        return true;
+        return;
 
       case TraceH::MovHi:
         _eflagsLive = false;
@@ -744,7 +754,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             _em.aluMI32(kAndN, home(op.a), 0xffffu);
             _em.aluMI32(kOrN, home(op.a), op.imm << 16);
         }
-        return true;
+        return;
 
       case TraceH::CmpRR:
       case TraceH::TestRR: {
@@ -761,7 +771,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
                 _em.testRM32(vb, home(op.c));
         }
         materializeFlags();
-        return true;
+        return;
       }
 
       case TraceH::CmpRI:
@@ -772,15 +782,12 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         else
             _em.testRI32(vb, op.imm2);
         materializeFlags();
-        return true;
+        return;
       }
 
       case TraceH::CmpRM:
       case TraceH::TestRM: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.c, op.imm2);
         emitHintCheck(idx, miss);
         _em.movRM32(RCX, guestMemAtRdx()); // v
@@ -790,17 +797,14 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         else
             _em.testRR32(vb, RCX);
         materializeFlags();
-        return true;
+        return;
       }
 
       case TraceH::CmpMR:
       case TraceH::CmpMI:
       case TraceH::TestMR:
       case TraceH::TestMI: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.b, op.imm);
         emitHintCheck(idx, miss);
         _em.movRM32(RAX, guestMemAtRdx()); // v
@@ -820,15 +824,12 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             _em.testRI32(RAX, op.imm2);
         }
         materializeFlags();
-        return true;
+        return;
       }
 
       case TraceH::PushR:
       case TraceH::PushI: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.a, static_cast<uint32_t>(-4)); // sp - kWordSize
         emitHintCheck(idx, miss);
         if (h == TraceH::PushR) {
@@ -838,27 +839,18 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             _em.movMI32(guestMemAtRdx(), op.imm);
         }
         writeReg(op.a, RDX); // sp commits only after the store
-        return true;
+        return;
       }
 
       case TraceH::PopR: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.a, 0);
         emitHintCheck(idx, miss);
         _em.movRM32(RAX, guestMemAtRdx()); // v
         _em.leaRM32(RCX, Mem(RDX, 4));     // sp + kWordSize
         writeReg(op.a, RCX);
         writeReg(op.b, RAX); // b == a: the popped value wins
-        return true;
-      }
-
-      case TraceH::Exec: {
-        emitHelperCall(_lay.execHelper, idx);
-        _em.jcc(Cc::E, _epilogue); // helper recorded the exit
-        return true;
+        return;
       }
 
       case TraceH::JccGuard: {
@@ -866,7 +858,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         // guard, so a following SegBranchCc can reuse them.
         int side = exitBlob(kExitSide, idx);
         emitCondJump(op.cond, side);
-        return true;
+        return;
       }
 
       case TraceH::SegBranchCc: {
@@ -883,7 +875,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         _em.jcc(Cc::Ae, exitBlob(kExitBudget, idx));
         if (op.jumpTo != idx + 1)
             _em.jmp(_opLabel[op.jumpTo]);
-        return true;
+        return;
       }
 
       case TraceH::SegCall: {
@@ -891,18 +883,20 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         _em.jcc(Cc::E, _epilogue); // stop/abandon recorded
         if (op.jumpTo != idx + 1)
             _em.jmp(_opLabel[op.jumpTo]);
-        return true;
+        return;
       }
 
       case TraceH::TraceEnd: {
         _em.movMI32(frameMem(_lay.frameExitCode), kExitEnd);
         _em.movMI32(frameMem(_lay.frameExitOp), idx);
         _em.jmp(_epilogue);
-        return true;
+        return;
       }
 
       default:
-        return false; // unknown shape: decline the whole trace
+        // Formation admits only ops with a template (superblock.cc).
+        hipstr_panic("trace JIT: op shape %u has no template",
+                     static_cast<unsigned>(h));
     }
 }
 
@@ -1018,8 +1012,7 @@ TraceCompiler::compile()
             // Jump targets merge control flow: EFLAGS unknown.
             _eflagsLive = false;
         }
-        if (!compileOp(i, _tr.ops[i]))
-            return false;
+        compileOp(i, _tr.ops[i]);
     }
     emitTailBlobs();
     _em.finalize();

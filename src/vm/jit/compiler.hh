@@ -80,16 +80,16 @@ struct CompileLayout
     /** @} */
     /** Out-of-line helpers (extern "C" in engine.cc). @{ */
     const void *memProbeHelper = nullptr;
-    const void *execHelper = nullptr;
     const void *segCallHelper = nullptr;
     /** @} */
 };
 
 /**
- * Compile @p tr into @p em. Returns false when the trace uses a
- * construct the JIT cannot lower (the head block then runs in the
- * block loop);
- * on success em.code holds a complete position-independent function.
+ * Compile @p tr into @p em. Every op shape has a template (formation
+ * ends a trace at any instruction without one), so this declines only
+ * traces whose size or counter deltas overflow the encodings (the
+ * head block then runs in the block loop); on success em.code holds a
+ * complete position-independent function.
  */
 bool compileTrace(const SuperTrace &tr, const CompileLayout &lay,
                   Emitter &em);

@@ -4,12 +4,12 @@
  *
  * Covers exactly the instruction forms the trace compiler lowers to:
  * 32-bit mov/lea/ALU/cmp/test in register and [base+disp] memory
- * forms, [base+index] loads/stores against the guest-memory base,
- * shifts by immediate and by cl, imul/div, setcc to a memory byte,
- * 64-bit counter arithmetic, push/pop/call/ret, and rel32 branches
- * through a label/fixup table. Nothing here is clever: each method
- * appends one canonically-encoded instruction to a byte buffer, and
- * finalize() patches the recorded rel32 fixups.
+ * forms, [base+index] word and byte loads/stores against the
+ * guest-memory base, shifts by immediate and by cl, imul/div, setcc
+ * to a memory byte, 64-bit counter arithmetic, push/pop/call/ret, and
+ * rel32 branches through a label/fixup table. Nothing here is clever:
+ * each method appends one canonically-encoded instruction to a byte
+ * buffer, and finalize() patches the recorded rel32 fixups.
  *
  * Register names use raw x86 encodings (RAX=0 ... R15=15); the
  * compiler layer owns the pinned-register convention.
@@ -145,6 +145,28 @@ class Emitter
     {
         rm(0xc7, 0, m, 0);
         u32(imm);
+    }
+    /**
+     * mov byte [mem], r8 — stores the low byte of @p src. Without a
+     * REX prefix, register encodings 4-7 name ah/ch/dh/bh, not
+     * spl/bpl/sil/dil, so a REX is forced for them.
+     */
+    void
+    movMR8(const Mem &m, uint8_t src)
+    {
+        if (src >= 4 && src < 8)
+            rex(0, src, m.hasIndex ? m.index : 0, m.base);
+        else
+            memRex(0, src, m);
+        u8(0x88);
+        modRmMem(src, m);
+    }
+    /** mov byte [mem], imm8 */
+    void
+    movMI8(const Mem &m, uint8_t imm)
+    {
+        rm(0xc6, 0, m, 0);
+        u8(imm);
     }
     /** movzx r32, byte [mem] */
     void

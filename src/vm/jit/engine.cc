@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstring>
 
-#include "isa/exec_inline.hh"
 #include "support/logging.hh"
 #include "vm/jit/compiler.hh"
 #include "vm/psr_vm.hh"
@@ -17,12 +16,6 @@ extern "C" int
 hipstrJitMemProbe(hipstr::jit::JitFrame *f, uint32_t op_idx)
 {
     return hipstr::jit::TraceJit::memProbe(f, op_idx);
-}
-
-extern "C" int
-hipstrJitExec(hipstr::jit::JitFrame *f, uint32_t op_idx)
-{
-    return hipstr::jit::TraceJit::execOp(f, op_idx);
 }
 
 extern "C" int
@@ -72,8 +65,6 @@ layout()
             static_cast<int32_t>(offsetof(VmStats, traceFollows));
         c.memProbeHelper =
             reinterpret_cast<const void *>(&hipstrJitMemProbe);
-        c.execHelper =
-            reinterpret_cast<const void *>(&hipstrJitExec);
         c.segCallHelper =
             reinterpret_cast<const void *>(&hipstrJitSegCall);
         return c;
@@ -107,18 +98,6 @@ resumeOwner(PsrVm &vm, const SuperTrace &tr, const TraceOp &op,
     tx.kind = TraceExitKind::Resume;
     tx.blk = sg.blk;
     tx.instIdx = op.instIdx;
-}
-
-/** ALU handler shape, or -1 for non-ALU handlers. */
-int
-aluShape(TraceH h)
-{
-    if (h >= TraceH::AddRR && h < TraceH::Exec) {
-        return (static_cast<int>(h) -
-                static_cast<int>(TraceH::AddRR)) %
-            5;
-    }
-    return -1;
 }
 
 } // namespace
@@ -156,13 +135,20 @@ TraceJit::memProbe(JitFrame *f, uint32_t op_idx)
     const uint32_t *regs = f->regs;
     Memory::SpanHint &h = f->opHints[op_idx];
     bool ok;
-    switch (const int shape = aluShape(op.h); op.h) {
+    switch (op.h) {
       case TraceH::MovRM:
         ok = mem.probe32Span(h, regs[op.b] + op.imm, PermR);
         break;
       case TraceH::MovMR:
       case TraceH::MovMI:
         ok = mem.probe32Span(h, regs[op.a] + op.imm, PermW);
+        break;
+      case TraceH::MovbRM:
+        ok = mem.probe8Span(h, regs[op.b] + op.imm, PermR);
+        break;
+      case TraceH::MovbMR:
+      case TraceH::MovbMI:
+        ok = mem.probe8Span(h, regs[op.a] + op.imm, PermW);
         break;
       case TraceH::CmpRM:
       case TraceH::TestRM:
@@ -181,7 +167,9 @@ TraceJit::memProbe(JitFrame *f, uint32_t op_idx)
       case TraceH::PopR:
         ok = mem.probe32Span(h, regs[op.a], PermR);
         break;
-      default:
+      default: {
+        const int alu = traceAluIndex(op.h);
+        const int shape = alu < 0 ? -1 : alu % 5;
         if (shape == 2) { // ALU RM: read [R(c)+imm2]
             ok = mem.probe32Span(h, regs[op.c] + op.imm2, PermR);
         } else if (shape == 3 || shape == 4) {
@@ -196,37 +184,10 @@ TraceJit::memProbe(JitFrame *f, uint32_t op_idx)
                          static_cast<unsigned>(op.h));
         }
         break;
+      }
     }
     if (ok)
         return 1;
-    f->exitCode = kJitExitFault;
-    f->exitOp = op_idx;
-    return 0;
-}
-
-int
-TraceJit::execOp(JitFrame *f, uint32_t op_idx)
-{
-    PsrVm &vm = *f->vm;
-    const TraceOp &op = f->trace->ops[op_idx];
-    ExecStatus st =
-        executeInstInline(op.ti->mi, vm.state, vm._mem, &vm._os);
-    if (st == ExecStatus::Continue) [[likely]]
-        return 1;
-    if (st == ExecStatus::Halted) {
-        vm.stats.guestInsts += op.ti->guestCum;
-        vm.stats.hostInsts += op.instIdx + 1;
-        vm.stats.memReads += op.ti->memReadsCum;
-        vm.stats.memWrites += op.ti->memWritesCum;
-        const TraceSegment &sg = f->trace->segs[op.seg];
-        vm.state.pc = sg.guestPc;
-        f->stop->reason = VmStop::Halted;
-        f->stop->stopPc = sg.guestPc;
-        f->exit->kind = TraceExitKind::Stop;
-        f->exitCode = kJitExitHelper;
-        return 0;
-    }
-    hipstr_assert(st == ExecStatus::Faulted);
     f->exitCode = kJitExitFault;
     f->exitOp = op_idx;
     return 0;
@@ -359,8 +320,8 @@ TraceJit::run(PsrVm &vm, SuperTrace *tr, uint64_t guest_budget,
 
     switch (f.exitCode) {
       case kJitExitHelper:
-        // A helper (Exec stop, SegCall stop/abandon) already filled
-        // stop and tx.
+        // The SegCall helper (stop or abandon) already filled stop
+        // and tx.
         return true;
       case kJitExitSide:
         ++stats.sideExits;

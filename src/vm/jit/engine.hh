@@ -7,11 +7,11 @@
  *
  * Execution contract: compiled code receives one JitFrame and runs
  * under four pinned registers (r12 = &VmStats, r13 = frame,
- * r14 = guest-memory base, r15 = &state.regs[0]). Rare or complex
- * operations — span-hint misses, generic Exec fallbacks, SegCall
- * linkage — leave JIT code through extern "C" helpers that flush the
- * allocated guest registers to their MachineState homes first, so
- * C++ always sees (and may mutate) architectural state. On return
+ * r14 = guest-memory base, r15 = &state.regs[0]). Every straight-line
+ * op runs inline; only span-hint misses and SegCall linkage leave JIT
+ * code, through extern "C" helpers that flush the allocated guest
+ * registers to their MachineState homes first, so C++ always sees
+ * (and may mutate) architectural state. On return
  * the frame's exitCode says which epilogue fired and run() finishes
  * the exit: side exits resume the owner block, faults fold the
  * translate-time cumulative counters, budget stops report StepLimit
@@ -55,7 +55,8 @@ namespace jit
  * spans never thrashes a shared window and in steady state the
  * window check never misses. Persistence across entries is sound
  * because hint state is semantically invisible (a hit performs
- * exactly the access a checked tryRead32/tryWrite32 would) and the
+ * exactly the access a checked tryRead32/tryWrite32, or the byte
+ * variant for a byte op, would) and the
  * engine clears the table whenever Memory's span layout epoch moves
  * (region changes happen only between trace runs — syscalls end
  * traces).
@@ -125,7 +126,6 @@ class TraceJit
 
     /** extern "C" helper bodies (called from emitted code). @{ */
     static int memProbe(JitFrame *f, uint32_t op_idx);
-    static int execOp(JitFrame *f, uint32_t op_idx);
     static int segCall(JitFrame *f, uint32_t op_idx);
     /** @} */
 

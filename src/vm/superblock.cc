@@ -10,6 +10,8 @@
 
 #include "vm/superblock.hh"
 
+#include "support/logging.hh"
+
 namespace hipstr
 {
 
@@ -43,7 +45,7 @@ aluBaseHandler(Op op)
 
 /**
  * Operand-shape offset for the two-source flag setters (Cmp/Test):
- * 0 RR, 1 RI, 2 RM, 3 MR, 4 MI; -1 falls back to the generic handler.
+ * 0 RR, 1 RI, 2 RM, 3 MR, 4 MI; -1 when no template fits.
  */
 int
 flagShape(const Operand &s1, const Operand &s2, TraceOp &t)
@@ -118,113 +120,174 @@ aluShape(const MachInst &mi, TraceOp &t)
 }
 
 /**
- * Encode one straight-line (Plain-class) instruction as a TraceOp.
- * Nops emit nothing — the boundary fold accounts them through the
- * translate-time running totals. Unrecognized shapes fall back to the
- * generic executeInstInline handler, never get dropped.
+ * Move shape (Mov and Movb share operand forms): 0 RR, 1 RI, 2 RM,
+ * 3 MR, 4 MI; -1 when no template fits.
  */
-void
-encodeInst(const TInst &ti, uint32_t inst_idx, uint16_t seg,
-           uint8_t sp_reg, std::vector<TraceOp> &out)
+int
+movShape(const MachInst &mi, TraceOp &t)
 {
-    const MachInst &mi = ti.mi;
-    if (mi.op == Op::Nop)
-        return;
+    if (mi.dst.isReg() && mi.src1.isReg()) {
+        t.a = static_cast<uint8_t>(mi.dst.reg);
+        t.b = static_cast<uint8_t>(mi.src1.reg);
+        return 0;
+    }
+    if (mi.dst.isReg() && mi.src1.isImm()) {
+        t.a = static_cast<uint8_t>(mi.dst.reg);
+        t.imm = static_cast<uint32_t>(mi.src1.disp);
+        return 1;
+    }
+    if (mi.dst.isReg() && mi.src1.isMem()) {
+        t.a = static_cast<uint8_t>(mi.dst.reg);
+        t.b = static_cast<uint8_t>(mi.src1.base);
+        t.imm = static_cast<uint32_t>(mi.src1.disp);
+        return 2;
+    }
+    if (mi.dst.isMem() && mi.src1.isReg()) {
+        t.a = static_cast<uint8_t>(mi.dst.base);
+        t.imm = static_cast<uint32_t>(mi.dst.disp);
+        t.b = static_cast<uint8_t>(mi.src1.reg);
+        return 3;
+    }
+    if (mi.dst.isMem() && mi.src1.isImm()) {
+        t.a = static_cast<uint8_t>(mi.dst.base);
+        t.imm = static_cast<uint32_t>(mi.dst.disp);
+        t.imm2 = static_cast<uint32_t>(mi.src1.disp);
+        return 4;
+    }
+    return -1;
+}
 
-    TraceOp t;
-    t.h = TraceH::Exec;
-    t.seg = seg;
-    t.instIdx = inst_idx;
-    t.ti = &ti;
-
+/**
+ * Encode one straight-line (Plain-class, non-Nop) instruction as a
+ * TraceOp: fill @p t's handler and operand fields and return true, or
+ * return false when the JIT has no template for the instruction.
+ */
+bool
+encodeInst(const MachInst &mi, uint8_t sp_reg, TraceOp &t)
+{
     switch (mi.op) {
-      case Op::Mov:
-        if (mi.dst.isReg() && mi.src1.isReg()) {
-            t.h = TraceH::MovRR;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-        } else if (mi.dst.isReg() && mi.src1.isImm()) {
-            t.h = TraceH::MovRI;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-        } else if (mi.dst.isReg() && mi.src1.isMem()) {
-            t.h = TraceH::MovRM;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.b = static_cast<uint8_t>(mi.src1.base);
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-        } else if (mi.dst.isMem() && mi.src1.isReg()) {
-            t.h = TraceH::MovMR;
-            t.a = static_cast<uint8_t>(mi.dst.base);
-            t.imm = static_cast<uint32_t>(mi.dst.disp);
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-        } else if (mi.dst.isMem() && mi.src1.isImm()) {
-            t.h = TraceH::MovMI;
-            t.a = static_cast<uint8_t>(mi.dst.base);
-            t.imm = static_cast<uint32_t>(mi.dst.disp);
-            t.imm2 = static_cast<uint32_t>(mi.src1.disp);
-        }
-        break;
+      case Op::Mov: {
+        static constexpr TraceH shapes[] = {
+            TraceH::MovRR, TraceH::MovRI, TraceH::MovRM,
+            TraceH::MovMR, TraceH::MovMI};
+        int off = movShape(mi, t);
+        if (off < 0)
+            return false;
+        t.h = shapes[off];
+        return true;
+      }
+
+      case Op::Movb: {
+        // Byte moves always have exactly one memory side.
+        int off = movShape(mi, t);
+        if (off < 2)
+            return false;
+        static constexpr TraceH shapes[] = {
+            TraceH::MovbRM, TraceH::MovbMR, TraceH::MovbMI};
+        t.h = shapes[off - 2];
+        return true;
+      }
 
       case Op::Lea:
         t.h = TraceH::Lea;
         t.a = static_cast<uint8_t>(mi.dst.reg);
         t.b = static_cast<uint8_t>(mi.src1.base);
         t.imm = static_cast<uint32_t>(mi.src1.disp);
-        break;
+        return true;
 
       case Op::MovHi:
         t.h = TraceH::MovHi;
         t.a = static_cast<uint8_t>(mi.dst.reg);
         t.imm = static_cast<uint32_t>(mi.src1.disp);
-        break;
+        return true;
 
-      case Op::Cmp: {
-        int off = flagShape(mi.src1, mi.src2, t);
-        if (off >= 0)
-            t.h = static_cast<TraceH>(
-                static_cast<int>(TraceH::CmpRR) + off);
-        break;
-      }
-
+      case Op::Cmp:
       case Op::Test: {
         int off = flagShape(mi.src1, mi.src2, t);
-        if (off >= 0)
-            t.h = static_cast<TraceH>(
-                static_cast<int>(TraceH::TestRR) + off);
-        break;
+        if (off < 0)
+            return false;
+        TraceH base = mi.op == Op::Cmp ? TraceH::CmpRR : TraceH::TestRR;
+        t.h = static_cast<TraceH>(static_cast<int>(base) + off);
+        return true;
       }
 
       case Op::Push:
+        t.a = sp_reg;
         if (mi.src1.isReg()) {
             t.h = TraceH::PushR;
-            t.a = sp_reg;
             t.b = static_cast<uint8_t>(mi.src1.reg);
-        } else if (mi.src1.isImm()) {
-            t.h = TraceH::PushI;
-            t.a = sp_reg;
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
+            return true;
         }
-        break;
+        if (mi.src1.isImm()) {
+            t.h = TraceH::PushI;
+            t.imm = static_cast<uint32_t>(mi.src1.disp);
+            return true;
+        }
+        return false;
 
       case Op::Pop:
-        if (mi.dst.isReg()) {
-            t.h = TraceH::PopR;
-            t.a = sp_reg;
-            t.b = static_cast<uint8_t>(mi.dst.reg);
-        }
-        break;
+        if (!mi.dst.isReg())
+            return false;
+        t.h = TraceH::PopR;
+        t.a = sp_reg;
+        t.b = static_cast<uint8_t>(mi.dst.reg);
+        return true;
 
       default: {
         int alu_base = aluBaseHandler(mi.op);
-        if (alu_base >= 0) {
-            int off = aluShape(mi, t);
-            if (off >= 0)
-                t.h = static_cast<TraceH>(alu_base + off);
-        }
-        break;
+        int off = alu_base >= 0 ? aluShape(mi, t) : -1;
+        if (off < 0)
+            return false;
+        t.h = static_cast<TraceH>(alu_base + off);
+        return true;
       }
     }
-    out.push_back(t);
+}
+
+/**
+ * True when the trace JIT can run @p ti inline: Nops (which emit no
+ * op — the boundary fold accounts them through the translate-time
+ * running totals) and instructions with a template.
+ */
+bool
+hasTemplate(const TInst &ti)
+{
+    TraceOp scratch;
+    return ti.mi.op == Op::Nop || encodeInst(ti.mi, 0, scratch);
+}
+
+/**
+ * First instruction of @p b a trace cannot run through: a
+ * Ret/Syscall/VmExit (a mid-segment counter fold, an indirect
+ * transfer, or an unconditional exit), or a straight-line instruction
+ * with no JIT template. A final segment ends at it and the block loop
+ * resumes there, so an instruction without a template is treated
+ * exactly like a syscall. -1 when there is none.
+ */
+int
+terminalInst(const TranslatedBlock *b)
+{
+    for (size_t i = 0; i < b->insts.size(); ++i) {
+        const TInst &ti = b->insts[i];
+        if (ti.klass == ExecClass::Jcc)
+            continue;
+        const bool straight = ti.klass == ExecClass::Plain ||
+            ti.klass == ExecClass::GuestStartPlain;
+        if (!straight || !hasTemplate(ti))
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+/**
+ * True when insts [0, bound) hold only templated straight-line
+ * instructions and conditional side exits.
+ */
+bool
+cleanPrefix(const TranslatedBlock *b, int bound)
+{
+    const int t = terminalInst(b);
+    return t < 0 || t >= bound;
 }
 
 /** Instruction whose execution takes @p exit_idx, or -1. */
@@ -245,30 +308,6 @@ boundaryInstFor(const TranslatedBlock *b, size_t exit_idx)
         }
     }
     return -1;
-}
-
-/**
- * True when insts [0, bound) contain only straight-line instructions
- * and conditional side exits — nothing that would need a mid-segment
- * counter fold (syscalls), an indirect transfer (returns), or an
- * earlier unconditional exit (dead boundary).
- */
-bool
-cleanPrefix(const TranslatedBlock *b, int bound)
-{
-    for (int i = 0; i < bound; ++i) {
-        switch (b->insts[i].klass) {
-          case ExecClass::Plain:
-          case ExecClass::GuestStartPlain:
-          case ExecClass::Jcc:
-            continue;
-          case ExecClass::Ret:
-          case ExecClass::Syscall:
-          case ExecClass::VmExit:
-            return false;
-        }
-    }
-    return true;
 }
 
 /**
@@ -296,23 +335,6 @@ dominantExit(const TranslatedBlock *b)
     if (best_hits * 3 < total * 2)
         return -1;
     return best;
-}
-
-/** First Ret/Syscall/VmExit-class instruction of @p b, or -1. */
-int
-terminalInst(const TranslatedBlock *b)
-{
-    for (size_t i = 0; i < b->insts.size(); ++i) {
-        switch (b->insts[i].klass) {
-          case ExecClass::Ret:
-          case ExecClass::Syscall:
-          case ExecClass::VmExit:
-            return static_cast<int>(i);
-          default:
-            continue;
-        }
-    }
-    return -1;
 }
 
 /** One planned trace segment before emission. */
@@ -370,8 +392,8 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
     if (!loop_back) {
         if (plan.empty())
             return nullptr; // no dominant chain yet (or ever)
-        int endi = terminalInst(cur);
-        if (endi < 0 || !cleanPrefix(cur, endi))
+        int endi = terminalInst(cur); // everything before it is clean
+        if (endi < 0)
             return nullptr;
         plan.push_back({ cur, endi, -1, true });
     }
@@ -398,10 +420,15 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
                 g.instIdx = static_cast<uint32_t>(i);
                 g.ti = &ti;
                 tr->ops.push_back(g);
-            } else {
-                encodeInst(ti, static_cast<uint32_t>(i),
-                           static_cast<uint16_t>(si), sp_reg,
-                           tr->ops);
+            } else if (ti.mi.op != Op::Nop) {
+                TraceOp t;
+                t.seg = static_cast<uint16_t>(si);
+                t.instIdx = static_cast<uint32_t>(i);
+                t.ti = &ti;
+                // cleanPrefix/terminalInst admitted only these.
+                const bool encoded = encodeInst(ti.mi, sp_reg, t);
+                hipstr_assert(encoded);
+                tr->ops.push_back(t);
             }
         }
 

@@ -48,9 +48,12 @@ class CodeCache;
 
 /**
  * Trace op shape. Each value selects one code template in the trace
- * JIT (vm/jit/compiler.cc). Operand shapes: RR/RI register-register/
- * immediate, RM register with memory source, MR/MI memory destination
- * (Cisc two-address slot forms).
+ * JIT (vm/jit/compiler.cc). An instruction with no shape here never
+ * enters a trace: formation ends the trace at it. Operand shapes:
+ * RR/RI register-register/immediate, RM register with memory source,
+ * MR/MI memory destination (Cisc two-address slot forms). The Movb
+ * shapes are the byte moves: RM zero-extends mem8 into a register,
+ * MR/MI store the low byte.
  */
 enum class TraceH : uint16_t
 {
@@ -59,6 +62,9 @@ enum class TraceH : uint16_t
     MovRM,
     MovMR,
     MovMI,
+    MovbRM,
+    MovbMR,
+    MovbMI,
     Lea,
     MovHi,
     CmpRR,
@@ -78,7 +84,8 @@ enum class TraceH : uint16_t
     op##RR, op##RI, op##RM, op##MR, op##MI,
     HIPSTR_SUPERTRACE_ALU_OPS(HIPSTR_SUPERTRACE_ALU_ENUM)
 #undef HIPSTR_SUPERTRACE_ALU_ENUM
-    Exec,        ///< generic fallback: executeInstInline on ti->mi
+    // The ALU family ends here: traceAluIndex() relies on JccGuard
+    // following its last shape.
     JccGuard,    ///< off-trace conditional: taken => side exit
     SegBranch,   ///< on-trace direct branch edge (block stub exit)
     SegBranchCc, ///< on-trace conditional edge (dominant taken)
@@ -88,15 +95,28 @@ enum class TraceH : uint16_t
 };
 
 /**
- * One pre-decoded trace operation. Specialized shapes read only the
+ * Index of @p h within the ALU family, or -1 for any other handler.
+ * index % 5 is the operand shape (0 RR, 1 RI, 2 RM, 3 MR, 4 MI) and
+ * index / 5 the op, in HIPSTR_SUPERTRACE_ALU_OPS order.
+ */
+inline int
+traceAluIndex(TraceH h)
+{
+    if (h < TraceH::AddRR || h >= TraceH::JccGuard)
+        return -1;
+    return static_cast<int>(h) - static_cast<int>(TraceH::AddRR);
+}
+
+/**
+ * One pre-decoded trace operation. Compiled shapes read only the
  * flat fields (registers, displacements, immediates); the source
- * TInst pointer serves the generic fallback and the fault fold. The
- * owning segment + instruction index let any op reconstruct the exact
- * resume/stop point of the baseline block loop.
+ * TInst pointer serves the fault fold. The owning segment +
+ * instruction index let any op reconstruct the exact resume/stop
+ * point of the baseline block loop.
  */
 struct TraceOp
 {
-    TraceH h = TraceH::Exec;
+    TraceH h = TraceH::TraceEnd;
     uint8_t a = 0;         ///< dst reg / mem base / stack pointer reg
     uint8_t b = 0;         ///< src reg / mem base
     uint8_t c = 0;         ///< second src reg / mem base
@@ -115,7 +135,7 @@ struct TraceOp
     uint32_t readsD = 0;
     uint32_t writesD = 0;
     /** @} */
-    const TInst *ti = nullptr; ///< source instruction (fallback/fault)
+    const TInst *ti = nullptr; ///< source instruction (fault fold)
 };
 
 /** One spliced block of a trace. */

@@ -467,6 +467,62 @@ TEST(Memory, SpanWalksMatchPerByteRuleNearEveryEdge)
     }
 }
 
+TEST(Memory, SpanProbe8MatchesTryAccessNearEveryEdge)
+{
+    // The trace JIT's byte ops refill their hint windows through
+    // probe8Span. The probe must agree with tryRead8/tryWrite8, and
+    // every address of a refilled window must pass the byte access.
+    Memory mem;
+    const Addr end = layout::kMemEnd;
+    mem.setRegion(0x1000, 0x40, PermRW, "data");  // RW | R
+    mem.setRegion(0x1040, 0x40, PermR, "rodata"); // R | unmapped
+    mem.setRegion(0x2000, 0x40, PermRW, "heap");  // RW | RX
+    mem.setRegion(0x2040, 0x40, PermRX, "code");
+    mem.setRegion(end - 0x40, 0x40, PermRW, "tail"); // ends the space
+
+    auto byteAccess = [&](Addr a, Perm p) {
+        if (p == PermR) {
+            uint8_t v = 0;
+            return mem.tryRead8(a, v);
+        }
+        const uint8_t v = a < mem.size() ? mem.rawRead8(a) : 0;
+        return mem.tryWrite8(a, v); // rewrites the byte it holds
+    };
+
+    const Addr edges[] = { 0x1000, 0x1040, 0x1080, 0x2000, 0x2040,
+                           0x2080, end - 0x40, end - 4, end };
+    for (Addr edge : edges) {
+        for (Addr addr = edge - 16; addr < edge + 16; ++addr) {
+            for (Perm p : { PermR, PermW }) {
+                Memory::SpanHint h;
+                const bool ok = mem.probe8Span(h, addr, p);
+                ASSERT_EQ(ok, byteAccess(addr, p))
+                    << std::hex << "addr 0x" << addr << " perm "
+                    << int(p);
+                if (!ok)
+                    continue;
+                ASSERT_LE(h.lo, addr) << std::hex << "addr 0x" << addr;
+                ASSERT_GE(h.hi, addr) << std::hex << "addr 0x" << addr;
+                for (uint64_t a = h.lo; a <= h.hi; ++a) {
+                    ASSERT_TRUE(byteAccess(Addr(a), p))
+                        << std::hex << "window 0x" << h.lo << "-0x"
+                        << h.hi << " addr 0x" << a;
+                }
+            }
+        }
+    }
+
+    // At the top of the address space the byte window reaches the
+    // last byte, where the word window stops four bytes short.
+    Memory::SpanHint h8, h32;
+    ASSERT_TRUE(mem.probe8Span(h8, end - 1, PermW));
+    EXPECT_EQ(h8.hi, end - 1);
+    ASSERT_TRUE(mem.probe32Span(h32, end - 4, PermW));
+    EXPECT_EQ(h32.hi, end - 4);
+    EXPECT_TRUE(mem.probe8Span(h8, end - 3, PermR));
+    EXPECT_FALSE(mem.probe32Span(h32, end - 3, PermR));
+}
+
 /** True iff @p op moved @p mem's code epoch. */
 template <typename Op>
 bool

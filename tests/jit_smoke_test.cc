@@ -6,8 +6,10 @@
  * compiled code, with zero bailouts), counter equivalence with side
  * exits against the plain block loop, compile declines (the declined
  * head falls back to the block loop for good), the tiny-arena
- * eviction storm (generational reclaim plus lazy recompilation), and
- * the W^X executable-arena round trip. On hosts where the JIT cannot
+ * eviction storm (generational reclaim plus lazy recompilation), byte
+ * moves (the httpd request parser, a byte-store fault, and the byte
+ * store encoding from every allocatable host register), and the W^X
+ * executable-arena round trip. On hosts where the JIT cannot
  * run at all (non-x86-64, sanitizer builds) the execution tests skip
  * — the differential suite still covers the block loop there.
  */
@@ -18,6 +20,7 @@
 
 #include "binary/loader.hh"
 #include "compiler/compile.hh"
+#include "ir/builder.hh"
 #include "isa/guest_os.hh"
 #include "test_util.hh"
 #include "vm/jit/arena.hh"
@@ -226,6 +229,151 @@ TEST(JitSmoke, TinyArenaEvictionStorm)
     EXPECT_EQ(tiny.guestInsts, big.guestInsts);
     EXPECT_EQ(tiny.traceFollows, big.traceFollows);
     EXPECT_EQ(tiny.outputChecksum, big.outputChecksum);
+}
+
+TEST(JitSmoke, ByteMovesMatchBlockLoop)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // httpd's request parser is the byte-move-heavy code: compiled
+    // byte loads and stores must retire exactly what the block loop
+    // retires, and no trace may be declined for using one.
+    FatBinary bin = compileModule(buildWorkload("httpd"));
+    const size_t arena = PsrConfig{}.jitArenaBytes;
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = isaName(isa);
+        SmokeRun off =
+            completeRun(bin, isa, PsrConfig::JitMode::Off, arena, label);
+        SmokeRun on =
+            completeRun(bin, isa, PsrConfig::JitMode::On, arena, label);
+        expectSameExecution(on, off, label);
+        EXPECT_EQ(on.jit.bailouts, 0u) << label;
+        EXPECT_GT(on.jit.executions, 0u) << label;
+    }
+}
+
+/** A loop that stores and reloads bytes of the 256-byte global "buf". */
+IrModule
+byteFillModule()
+{
+    IrModule m;
+    m.name = "bytefill";
+    IrBuilder b(m);
+    uint32_t buf = b.addGlobal("buf", 256);
+    uint32_t main_fn = b.declareFunction("main", 0);
+    b.setEntry(main_fn);
+    b.beginFunction(main_fn);
+    ValueId base = b.globalAddr(buf);
+    ValueId i = b.constI(0);
+    ValueId acc = b.constI(0);
+    uint32_t loop = b.newBlock(), body = b.newBlock(),
+             done = b.newBlock();
+    b.br(loop);
+    b.setBlock(loop);
+    b.condBrI(Cond::Lt, i, 1 << 24, body, done);
+    b.setBlock(body);
+    b.store8(b.add(base, b.andI(i, 255)), b.mulI(i, 7));
+    b.assignBinop(IrOp::Add, acc, acc,
+                  b.load8(b.add(base, b.andI(b.addI(i, 1), 255))));
+    b.assignBinopI(IrOp::Add, i, i, 1);
+    b.br(loop);
+    b.setBlock(done);
+    b.ret(acc);
+    b.endFunction();
+    return m;
+}
+
+TEST(JitSmoke, ByteStoreFaultMatchesBlockLoop)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // Warm a trace whose byte stores fill a buffer, revoke the
+    // buffer's write permission, and resume: the compiled byte store
+    // must miss its hint, fail the probe, and stop with the same
+    // reason, pc, architectural state, and counters as the block loop.
+    FatBinary bin = compileModule(byteFillModule());
+    const Addr buf = bin.globalAddr.at(0);
+    struct Outcome
+    {
+        VmRunResult stop;
+        MachineState state;
+        SmokeRun run;
+    };
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = isaName(isa);
+        auto faultRun = [&](PsrConfig::JitMode mode) {
+            Memory mem;
+            loadFatBinary(bin, mem);
+            GuestOs os;
+            PsrConfig cfg;
+            cfg.seed = 11;
+            cfg.jitMode = mode;
+            PsrVm vm(bin, isa, mem, os, cfg);
+            vm.reset();
+            EXPECT_EQ(vm.run(200'000).reason, VmStop::StepLimit)
+                << label;
+            mem.setRegion(buf, 256, PermR, "frozen-buf");
+            Outcome o;
+            o.stop = vm.run(1'000'000);
+            o.state = vm.state;
+            o.run = harvest(vm, os, mem);
+            return o;
+        };
+        Outcome off = faultRun(PsrConfig::JitMode::Off);
+        Outcome on = faultRun(PsrConfig::JitMode::On);
+        EXPECT_EQ(off.stop.reason, VmStop::Fault) << label;
+        EXPECT_EQ(on.stop.reason, off.stop.reason) << label;
+        EXPECT_EQ(on.stop.stopPc, off.stop.stopPc) << label;
+        EXPECT_EQ(on.state.pc, off.state.pc) << label;
+        EXPECT_EQ(on.state.regs, off.state.regs) << label;
+        EXPECT_EQ(on.state.flags, off.state.flags) << label;
+        expectSameExecution(on.run, off.run, label);
+        EXPECT_GT(on.run.jit.executions, 0u) << label;
+        EXPECT_EQ(on.run.jit.bailouts, 0u) << label;
+    }
+}
+
+TEST(JitSmoke, ByteStoreEncodesEveryAllocatableRegister)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // `mov byte [rax], r8` from rbp/rsi/rdi needs a REX prefix:
+    // without one, encodings 5/6/7 name ch/dh/bh and the store writes
+    // the wrong byte. Emit `void f(uint8_t *p)` that stores the low
+    // byte of 0x1234 from @p src at p[1] (base rax, so nothing else
+    // forces a REX), run it, and check exactly that byte landed.
+    const uint8_t srcs[] = {jit::RBP, jit::RSI, jit::RDI, jit::R8,
+                            jit::R9, jit::R10, jit::R11};
+    jit::ExecArena arena;
+    ASSERT_TRUE(arena.init(4096));
+    for (uint8_t src : srcs) {
+        jit::Emitter em;
+        em.pushR(jit::RBP); // the callee-saved registers clobbered
+        em.pushR(jit::RBX);
+        em.movRR64(jit::RAX, jit::RDI);
+        em.movRI32(jit::RDX, 0);  // dh/ch/bh would read 0 ...
+        em.movRI32(jit::RCX, 0);
+        em.movRI32(jit::RBX, 0);
+        em.movRI32(src, 0x1234); // ... the right register holds 0x34
+        em.movMR8(jit::Mem(jit::RAX, 1), src);
+        em.movMI8(jit::Mem(jit::RAX, 2), 0x56);
+        em.popR(jit::RBX);
+        em.popR(jit::RBP);
+        em.ret();
+        em.finalize();
+        arena.beginWrite();
+        arena.reset();
+        uint8_t *p = arena.alloc(em.size());
+        ASSERT_NE(p, nullptr);
+        std::memcpy(p, em.code.data(), em.size());
+        arena.endWrite();
+        uint8_t bytes[4] = {0xee, 0xee, 0xee, 0xee};
+        reinterpret_cast<void (*)(uint8_t *)>(p)(bytes);
+        EXPECT_EQ(bytes[0], 0xee) << "src " << int(src);
+        EXPECT_EQ(bytes[1], 0x34) << "src " << int(src);
+        EXPECT_EQ(bytes[2], 0x56) << "src " << int(src);
+        EXPECT_EQ(bytes[3], 0xee) << "src " << int(src);
+    }
 }
 
 TEST(JitSmoke, ExecArenaWxRoundTrip)
