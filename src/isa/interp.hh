@@ -109,9 +109,7 @@ class Interpreter
 
     /**
      * Lines in the decode cache. The table lives inside the object,
-     * not in a separate heap block: callers build interpreters next
-     * to a 24 MiB Memory image, and a second allocation there pins
-     * heap pages.
+     * not in a separate heap block (see DESIGN.md, "Decode once").
      */
     static constexpr size_t kDecodedLines = 4096;
     /** Tag of an empty line. */

@@ -1,23 +1,73 @@
 #include "memory.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 #include "support/logging.hh"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#define HIPSTR_MEMORY_HAVE_MMAP 1
+#endif
+
 namespace hipstr
 {
 
-Memory::Memory() : _bytes(layout::kMemEnd, 0)
+namespace
+{
+
+/**
+ * A zero-filled block of @p bytes. On POSIX this is an anonymous
+ * mapping whose pages the host materializes on first touch. It is not
+ * calloc there: once one such block has been freed, glibc's dynamic
+ * mmap threshold serves the next from the heap and zeroes all of it
+ * eagerly.
+ */
+uint8_t *
+mapZeroed(size_t bytes)
+{
+#if HIPSTR_MEMORY_HAVE_MMAP
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        hipstr_fatal("guest memory: mmap of %zu bytes failed", bytes);
+#else
+    void *p = std::calloc(bytes, 1);
+    if (p == nullptr)
+        hipstr_fatal("guest memory: calloc of %zu bytes failed", bytes);
+#endif
+    return static_cast<uint8_t *>(p);
+}
+
+void
+unmapZeroed(uint8_t *p, size_t bytes)
+{
+#if HIPSTR_MEMORY_HAVE_MMAP
+    ::munmap(p, bytes);
+#else
+    (void)bytes;
+    std::free(p);
+#endif
+}
+
+} // namespace
+
+Memory::Memory() : _bytes(mapZeroed(kSize))
 {
     rebuildSpans();
+}
+
+Memory::~Memory()
+{
+    unmapZeroed(_bytes, kSize);
 }
 
 void
 Memory::setRegion(Addr base, uint32_t size, Perm perm,
                   const std::string &name)
 {
-    hipstr_assert(static_cast<uint64_t>(base) + size <= _bytes.size());
+    hipstr_assert(static_cast<uint64_t>(base) + size <= kSize);
     hipstr_assert((perm & (PermW | PermX)) != (PermW | PermX));
     // Later definitions take precedence; keep the list small by
     // replacing an exact match.
@@ -46,7 +96,7 @@ Memory::rebuildSpans()
     std::vector<Addr> edges;
     edges.reserve(_regions.size() * 2 + 2);
     edges.push_back(0);
-    const Addr mem_end = static_cast<Addr>(_bytes.size());
+    const Addr mem_end = kSize;
     for (const auto &r : _regions) {
         if (r.base < mem_end)
             edges.push_back(r.base);
@@ -88,7 +138,7 @@ Memory::regionName(Addr addr) const
 void
 Memory::check(Addr addr, unsigned len, Perm needed) const
 {
-    if (static_cast<uint64_t>(addr) + len > _bytes.size()) {
+    if (static_cast<uint64_t>(addr) + len > kSize) {
         throw Fault{addr, needed, "access beyond address space"};
     }
     Perm have = permAt(addr);
@@ -103,7 +153,7 @@ bool
 Memory::rangeAccessible(Addr addr, uint32_t len,
                         Perm needed) const noexcept
 {
-    if (static_cast<uint64_t>(addr) + len > _bytes.size())
+    if (static_cast<uint64_t>(addr) + len > kSize)
         return false;
     return len == 0 || !anySpanIn(addr, len, [needed](Perm p) {
         return (p & needed) != needed;
@@ -146,8 +196,13 @@ void
 Memory::rollback()
 {
     hipstr_assert(_journaling);
-    for (size_t i = _journal.size(); i-- > 0;)
-        _bytes[_journal[i].first] = _journal[i].second;
+    // A restored byte may be non-zero on a page zeroRange() cleaned
+    // since it was journaled.
+    for (size_t i = _journal.size(); i-- > 0;) {
+        const Addr a = _journal[i].first;
+        _dirty[a >> kPageShift] = 1;
+        _bytes[a] = _journal[i].second;
+    }
     _journal.clear();
     _journaling = false;
 }
@@ -166,6 +221,7 @@ Memory::write8(Addr addr, uint8_t v)
 {
     check(addr, 1, PermW);
     journalBytes(addr, 1);
+    _dirty[addr >> kPageShift] = 1;
     _bytes[addr] = v;
 }
 
@@ -174,6 +230,7 @@ Memory::write16(Addr addr, uint16_t v)
 {
     check(addr, 2, PermW);
     journalBytes(addr, 2);
+    markDirty(addr, 2);
     _bytes[addr] = static_cast<uint8_t>(v);
     _bytes[addr + 1] = static_cast<uint8_t>(v >> 8);
 }
@@ -183,6 +240,7 @@ Memory::write32(Addr addr, uint32_t v)
 {
     check(addr, 4, PermW);
     journalBytes(addr, 4);
+    markDirty4(addr);
     std::memcpy(&_bytes[addr], &v, 4);
 }
 
@@ -196,7 +254,7 @@ Memory::fetch8(Addr addr) const
 size_t
 Memory::fetchBytes(Addr addr, uint8_t *out, size_t len) const
 {
-    if (addr >= _bytes.size())
+    if (addr >= kSize)
         return 0;
     size_t n = 0;
     for (size_t i = spanIndex(addr);
@@ -212,14 +270,14 @@ Memory::fetchBytes(Addr addr, uint8_t *out, size_t len) const
 uint8_t
 Memory::rawRead8(Addr addr) const
 {
-    hipstr_assert(addr < _bytes.size());
+    hipstr_assert(addr < kSize);
     return _bytes[addr];
 }
 
 uint32_t
 Memory::rawRead32(Addr addr) const
 {
-    hipstr_assert(static_cast<uint64_t>(addr) + 4 <= _bytes.size());
+    hipstr_assert(static_cast<uint64_t>(addr) + 4 <= kSize);
     uint32_t v;
     std::memcpy(&v, &_bytes[addr], 4);
     return v;
@@ -228,40 +286,63 @@ Memory::rawRead32(Addr addr) const
 void
 Memory::rawWrite8(Addr addr, uint8_t v)
 {
-    hipstr_assert(addr < _bytes.size());
+    hipstr_assert(addr < kSize);
     noteRawWrite(addr, 1);
+    _dirty[addr >> kPageShift] = 1;
     _bytes[addr] = v;
 }
 
 void
 Memory::rawWrite32(Addr addr, uint32_t v)
 {
-    hipstr_assert(static_cast<uint64_t>(addr) + 4 <= _bytes.size());
+    hipstr_assert(static_cast<uint64_t>(addr) + 4 <= kSize);
     noteRawWrite(addr, 4);
+    markDirty4(addr);
     std::memcpy(&_bytes[addr], &v, 4);
 }
 
 void
 Memory::rawWriteBytes(Addr addr, const uint8_t *src, size_t len)
 {
-    hipstr_assert(static_cast<uint64_t>(addr) + len <= _bytes.size());
+    hipstr_assert(static_cast<uint64_t>(addr) + len <= kSize);
+    if (len == 0)
+        return;
     noteRawWrite(addr, len);
+    markDirty(addr, len);
     std::memcpy(&_bytes[addr], src, len);
 }
 
 void
 Memory::rawReadBytes(Addr addr, uint8_t *dst, size_t len) const
 {
-    hipstr_assert(static_cast<uint64_t>(addr) + len <= _bytes.size());
+    hipstr_assert(static_cast<uint64_t>(addr) + len <= kSize);
     std::memcpy(dst, &_bytes[addr], len);
 }
 
 void
 Memory::zeroRange(Addr base, uint32_t len)
 {
-    hipstr_assert(static_cast<uint64_t>(base) + len <= _bytes.size());
+    hipstr_assert(static_cast<uint64_t>(base) + len <= kSize);
     noteRawWrite(base, len);
-    std::memset(&_bytes[base], 0, len);
+    const uint64_t end = static_cast<uint64_t>(base) + len;
+    bool cleaned = false;
+    for (uint64_t p = base >> kPageShift; (p << kPageShift) < end; ++p) {
+        if (!_dirty[p])
+            continue; // already zero
+        const uint64_t page_lo = p << kPageShift;
+        const uint64_t page_hi = page_lo + kPageBytes;
+        const uint64_t lo = std::max<uint64_t>(page_lo, base);
+        const uint64_t hi = std::min(page_hi, end);
+        std::memset(_bytes + lo, 0, hi - lo);
+        if (lo == page_lo && hi == page_hi) {
+            _dirty[p] = 0;
+            cleaned = true;
+        }
+    }
+    // A JIT write window over a now-clean page would let compiled
+    // stores skip the mark: retire every cached window.
+    if (cleaned)
+        ++_layoutEpoch;
 }
 
 } // namespace hipstr

@@ -8,6 +8,7 @@
 #ifndef HIPSTR_ISA_MEMORY_HH
 #define HIPSTR_ISA_MEMORY_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,6 +81,14 @@ enum Perm : uint8_t
  * raise a @c MemFault, which the interpreter converts into a guest
  * crash — the event brute-force attacks (Section 6, Algorithm 1)
  * observe and count.
+ *
+ * The 24 MiB backing store is an anonymous mapping, zero-filled by
+ * the host on first touch, so a Memory costs only the pages its guest
+ * touches. A byte-per-page dirty map records the pages that may hold
+ * a non-zero byte: every write path marks the pages it stores to, and
+ * a clean page is all zero. zeroRange() and checkpointing visit only
+ * dirty pages, which is what makes a worker respawn or a checkpoint
+ * restore cost the pages the worker touched, not the whole image.
  */
 class Memory
 {
@@ -92,7 +101,16 @@ class Memory
         std::string what;
     };
 
+    /** Granule of the dirty-page map. @{ */
+    static constexpr unsigned kPageShift = 12;
+    static constexpr uint32_t kPageBytes = uint32_t(1) << kPageShift;
+    /** @} */
+
     Memory();
+    ~Memory();
+    /** The backing store is an owned mapping; a Memory never moves. */
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     /**
      * Define or redefine the permissions of [base, base+size). W^X:
@@ -110,7 +128,7 @@ class Memory
      */
     Perm permAt(Addr addr) const
     {
-        if (addr >= _bytes.size())
+        if (addr >= kSize)
             return PermNone;
         return static_cast<Perm>(_spans[spanIndex(addr)].perm);
     }
@@ -135,7 +153,8 @@ class Memory
      * cold paths that want the diagnostic message. Try-writes honor
      * journaling exactly like their throwing counterparts. Inline —
      * together with the span-based permAt, a checked access is a
-     * bounds test, a short binary search, and the data move. @{
+     * bounds test, a short binary search, the dirty mark, and the data
+     * move. @{
      */
     bool tryRead8(Addr addr, uint8_t &v) const noexcept
     {
@@ -159,6 +178,7 @@ class Memory
             return false;
         if (_journaling)
             journalBytes(addr, 1);
+        _dirty[addr >> kPageShift] = 1;
         _bytes[addr] = v;
         return true;
     }
@@ -169,6 +189,7 @@ class Memory
             return false;
         if (_journaling)
             journalBytes(addr, 4);
+        markDirty4(addr);
         __builtin_memcpy(&_bytes[addr], &v, 4);
         return true;
     }
@@ -181,10 +202,10 @@ class Memory
      * inclusive range of base addresses for which an access of one
      * fixed length (4 bytes or 1) is known legal, so a hit replaces
      * the permAt binary search with one range compare. Hints hold no
-     * pointers and are invalidated by layoutEpoch() (bumped on every
-     * setRegion); the trace JIT keeps one persistent hint per memory
-     * op — each op has one access length — and clears its table when
-     * the epoch moves. Traces never reach setRegion (syscalls end a
+     * pointers and are invalidated by layoutEpoch(); the trace JIT
+     * keeps one persistent hint per memory op — each op has one
+     * access length — and clears its table when the epoch moves.
+     * Traces never reach setRegion or zeroRange (syscalls end a
      * trace). A hit performs exactly the access tryRead32/tryWrite32
      * (or tryRead8/tryWrite8) would, so the hint is semantically
      * invisible.
@@ -193,6 +214,13 @@ class Memory
      * permission of the probe that established it. The JIT's
      * read-modify-write ops probe one slot for both directions, which
      * is sound because permission spans are uniform.
+     *
+     * A write window is also bounded to the page(s) of the probed
+     * access, and the probe marks those pages dirty: compiled stores
+     * bypass the checked write paths, so the window is what keeps
+     * them inside marked pages. A page turns clean only in
+     * zeroRange(), which then bumps layoutEpoch(), so no persistent
+     * write window outlives its mark.
      */
     struct SpanHint
     {
@@ -205,10 +233,11 @@ class Memory
      * @p h around it *without* performing the access. This is the
      * trace JIT's hint-miss probe: it must stay free of guest-visible
      * effects so the op that missed can be retried from its start
-     * (read-modify-write ops would otherwise double-apply).
+     * (read-modify-write ops would otherwise double-apply). A write
+     * probe marks the page(s) of the access dirty, which no guest can
+     * observe.
      */
-    bool
-    probe32Span(SpanHint &h, Addr addr, Perm needed) const noexcept
+    bool probe32Span(SpanHint &h, Addr addr, Perm needed) noexcept
     {
         return probeSpan(h, addr, 4, needed);
     }
@@ -218,8 +247,7 @@ class Memory
      * size()-1, where the 4-byte window stops at size()-4, so a legal
      * byte access at the very top of the address space hits.
      */
-    bool
-    probe8Span(SpanHint &h, Addr addr, Perm needed) const noexcept
+    bool probe8Span(SpanHint &h, Addr addr, Perm needed) noexcept
     {
         return probeSpan(h, addr, 1, needed);
     }
@@ -262,26 +290,44 @@ class Memory
      * Zero [base, base+len) without permission checks. Used when a
      * crashed worker process respawns: its data/heap/stack image is
      * wiped before the fat binary is reloaded, so the new generation
-     * starts from a pristine address space.
+     * starts from a pristine address space. Only dirty pages are
+     * written — a clean page is already zero — so the cost is the
+     * pages the guest touched, not @p len. A dirty page the range
+     * covers whole turns clean, and then layoutEpoch() moves.
      */
     void zeroRange(Addr base, uint32_t len);
 
+    /**
+     * True if the page containing @p addr (< size()) may hold a
+     * non-zero byte: some write path stored to it since zeroRange()
+     * last cleaned it. A clean page is all zero.
+     */
+    bool pageDirty(Addr addr) const
+    {
+        return _dirty[addr >> kPageShift] != 0;
+    }
+
     /** Direct pointer into the backing store (attacker disclosures). */
-    const uint8_t *data() const { return _bytes.data(); }
+    const uint8_t *data() const { return _bytes; }
     /**
      * Mutable backing-store base for the trace JIT, whose compiled
      * code addresses guest memory as [base + addr] after passing the
-     * same span-hint window checks the interpreter uses. The vector
-     * never reallocates after load (the address space is fixed at
-     * construction), so the pointer stays valid across a run.
+     * same span-hint window checks the interpreter uses. The mapping
+     * is made once at construction and never moves (a Memory is
+     * neither copied nor moved), so the pointer stays valid across a
+     * run. Compiled stores stay inside write windows, whose probes
+     * marked their pages dirty.
      */
-    uint8_t *jitBase() { return _bytes.data(); }
-    uint32_t size() const { return static_cast<uint32_t>(_bytes.size()); }
+    uint8_t *jitBase() { return _bytes; }
+    uint32_t size() const { return kSize; }
 
     /**
-     * Monotonic stamp of the permission-span layout, bumped on every
-     * region change. Cached hint windows (the trace JIT's persistent
-     * per-op tables) are valid only while this stands still.
+     * Monotonic stamp of the span-hint validity, bumped on every
+     * region change and whenever zeroRange() turns a dirty page clean.
+     * Cached hint windows (the trace JIT's persistent per-op tables)
+     * are valid only while this stands still: a region change can
+     * revoke a permission, and a cleaned page would no longer be
+     * marked for the write windows that cover it.
      */
     uint64_t layoutEpoch() const { return _layoutEpoch; }
 
@@ -311,7 +357,26 @@ class Memory
     bool journaling() const { return _journaling; }
 
   private:
+    /** Size of the (fixed) address space. */
+    static constexpr uint32_t kSize = layout::kMemEnd;
+    static_assert(kSize % kPageBytes == 0);
+
     void journalBytes(Addr addr, unsigned len);
+
+    /** Mark the page(s) of a 4-byte store at @p addr dirty. */
+    void markDirty4(Addr addr) noexcept
+    {
+        _dirty[addr >> kPageShift] = 1;
+        _dirty[(addr + 3) >> kPageShift] = 1;
+    }
+
+    /** Mark every page of the non-empty range [addr, addr+len). */
+    void markDirty(Addr addr, uint64_t len) noexcept
+    {
+        const uint64_t last = (addr + len - 1) >> kPageShift;
+        for (uint64_t p = addr >> kPageShift; p <= last; ++p)
+            _dirty[p] = 1;
+    }
 
     /** Index of the span containing @p addr (< size()). */
     size_t spanIndex(Addr addr) const noexcept
@@ -355,11 +420,13 @@ class Memory
 
     /** Shared body of probe32Span/probe8Span. */
     bool probeSpan(SpanHint &h, Addr addr, unsigned len,
-                   Perm needed) const noexcept
+                   Perm needed) noexcept
     {
         if (!checkOk(addr, len, needed))
             return false;
         refillHint(h, addr, len);
+        if (needed & PermW)
+            boundWriteHint(h, addr, len);
         return true;
     }
 
@@ -375,13 +442,32 @@ class Memory
         const size_t lo = spanIndex(addr);
         h.lo = lo == 0 ? 0 : _spans[lo - 1].end;
         Addr span_last = _spans[lo].end - 1;
-        Addr bound_last = static_cast<Addr>(_bytes.size()) - len;
+        Addr bound_last = kSize - len;
         h.hi = span_last < bound_last ? span_last : bound_last;
+    }
+
+    /**
+     * Narrow a freshly refilled write window to the bases whose
+     * @p len-byte store stays inside the page(s) of the access at
+     * @p addr, and mark those pages dirty.
+     */
+    void boundWriteHint(SpanHint &h, Addr addr, unsigned len) noexcept
+    {
+        const Addr first = addr >> kPageShift;
+        const Addr last = (addr + len - 1) >> kPageShift;
+        _dirty[first] = 1;
+        _dirty[last] = 1;
+        const Addr page_lo = first << kPageShift;
+        const Addr page_hi = ((last + 1) << kPageShift) - len;
+        if (h.lo < page_lo)
+            h.lo = page_lo;
+        if (h.hi > page_hi)
+            h.hi = page_hi;
     }
 
     bool checkOk(Addr addr, unsigned len, Perm needed) const noexcept
     {
-        if (static_cast<uint64_t>(addr) + len > _bytes.size())
+        if (static_cast<uint64_t>(addr) + len > kSize)
             return false;
         return (permAt(addr) & needed) == needed;
     }
@@ -410,10 +496,12 @@ class Memory
     /** Recompute _spans from _regions (definition order wins). */
     void rebuildSpans();
 
-    std::vector<uint8_t> _bytes;
+    uint8_t *_bytes; ///< kSize bytes, zero until first written
+    /** One byte per page: nonzero iff the page may be non-zero. */
+    std::array<uint8_t, kSize / kPageBytes> _dirty{};
     std::vector<Region> _regions;
     std::vector<Span> _spans;
-    uint64_t _layoutEpoch = 0; ///< incremented by rebuildSpans()
+    uint64_t _layoutEpoch = 0; ///< see layoutEpoch()
     uint64_t _codeEpoch = 0;   ///< see codeEpoch()
     bool _journaling = false;
     std::vector<std::pair<Addr, uint8_t>> _journal;

@@ -202,8 +202,9 @@ GuestProcess::respawnImage()
     ++_stats.respawns;
 
     // Pristine address space: wipe everything mutable (data, heap,
-    // stack) and reload the image. The VM cache regions are rebuilt
-    // by reRandomize()'s flush.
+    // stack) and reload the image. zeroRange writes only the pages
+    // this generation dirtied. The VM cache regions are rebuilt by
+    // reRandomize()'s flush.
     _mem.zeroRange(layout::kDataBase,
                    layout::kStackTop - layout::kDataBase);
     loadFatBinary(_bin, _mem);
@@ -480,16 +481,19 @@ GuestProcess::saveState(ByteWriter &w) const
     // The code sections below kDataBase are reproduced by the loader
     // at construction; the cache regions above kStackTop rebuild
     // cold. Zero pages are skipped — a worker touches a small
-    // fraction of its 8 MiB image. The zero test is a memcmp, not a
-    // byte loop: that loop dominated checkpointing, and its speed
-    // swung ~15% with where the linker happened to place it (a fused
-    // compare-and-branch straddling a 32-byte boundary).
-    constexpr uint32_t kPage = 4096;
+    // fraction of its 8 MiB image. A clean page in Memory's dirty map
+    // is zero by construction, so only dirty pages are compared; the
+    // memcmp drops the dirty ones that hold only zeros again (a
+    // zeroed frame, a partly cleared buffer), which keeps the stream
+    // byte-identical to a scan of every page.
+    constexpr uint32_t kPage = Memory::kPageBytes;
     constexpr Addr lo = layout::kDataBase;
     constexpr Addr hi = layout::kStackTop;
     static constexpr std::array<uint8_t, kPage> kZeroPage{};
     const uint8_t *bytes = _mem.data();
     for (Addr page = lo; page < hi; page += kPage) {
+        if (!_mem.pageDirty(page))
+            continue;
         const uint8_t *p = bytes + page;
         if (std::memcmp(p, kZeroPage.data(), kPage) == 0)
             continue;
@@ -548,7 +552,8 @@ GuestProcess::loadState(ByteReader &r)
     _os.loadState(r);
     _runtime->loadState(r);
 
-    constexpr uint32_t kPage = 4096;
+    // zeroRange visits only the pages this process dirtied.
+    constexpr uint32_t kPage = Memory::kPageBytes;
     constexpr Addr lo = layout::kDataBase;
     constexpr Addr hi = layout::kStackTop;
     _mem.zeroRange(lo, hi - lo);

@@ -163,6 +163,8 @@ class ByteReader
     bytes(uint8_t *out, size_t n)
     {
         need(n);
+        if (n == 0)
+            return; // out may be null (an empty vector's data())
         std::memcpy(out, _p + _off, n);
         _off += n;
     }

@@ -306,7 +306,8 @@ TraceJit::run(PsrVm &vm, SuperTrace *tr, uint64_t guest_budget,
 
     // Hand the compiled body its persistent per-op hint table. Slots
     // survive across entries (hint state is semantically invisible);
-    // any region change bumps the layout epoch and empties them.
+    // a region change or a cleaned dirty page bumps the layout epoch
+    // and empties them.
     const uint64_t epoch = vm._mem.layoutEpoch();
     if (tr->jit.hintEpoch != epoch ||
         tr->jit.hints.size() != tr->ops.size()) {

@@ -57,8 +57,9 @@ namespace jit
  * because hint state is semantically invisible (a hit performs
  * exactly the access a checked tryRead32/tryWrite32, or the byte
  * variant for a byte op, would) and the
- * engine clears the table whenever Memory's span layout epoch moves
- * (region changes happen only between trace runs — syscalls end
+ * engine clears the table whenever Memory's layout epoch moves: on a
+ * region change, or when zeroRange() cleans a page a write window
+ * may cover (both happen only between trace runs — syscalls end
  * traces).
  */
 struct JitFrame

@@ -224,6 +224,8 @@ referenceControlTrace(const FatBinary &bin, IsaKind isa)
     ref.exitCode = os.exitCode();
     ref.outputChecksum = os.outputChecksum();
     ref.dataChecksum = dataChecksum(mem);
+    // Every write the interpreter made is on a dirty page.
+    EXPECT_EQ(test::firstNonZeroCleanPage(mem), -1) << isaName(isa);
     return ref;
 }
 
@@ -471,6 +473,9 @@ engineRun(const FatBinary &bin, IsaKind isa, uint64_t seed,
             << label << ": run too short to stress invalidation";
     }
     EXPECT_EQ(r.reason, VmStop::Exited) << label;
+    // Every store — block loop, translator, compiled trace — is on a
+    // dirty page.
+    EXPECT_EQ(test::firstNonZeroCleanPage(mem), -1) << label;
     EngineOutcome out;
     out.exitCode = os.exitCode();
     out.outputChecksum = os.outputChecksum();

@@ -14,6 +14,7 @@
 #include "isa/guest_os.hh"
 #include "isa/interp.hh"
 #include "isa/memory.hh"
+#include "test_util.hh"
 
 namespace hipstr
 {
@@ -587,6 +588,100 @@ TEST(Memory, CodeEpochStillOnDataWrites)
         mem, [&] { EXPECT_FALSE(mem.tryWrite8(0x1000, 1)); }));
     EXPECT_FALSE(movesCodeEpoch(
         mem, [&] { EXPECT_THROW(mem.write32(0x10fc, 1), Memory::Fault); }));
+}
+
+TEST(Memory, CleanPagesReadZero)
+{
+    // The dirty-page map's invariant: a page pageDirty() reports clean
+    // is all zero. Drive every write path, then check each page.
+    constexpr Addr kPage = Memory::kPageBytes;
+    Memory mem;
+    mem.setRegion(0x10000, 32 * kPage, PermRW, "data");
+    auto expectInvariant = [&](const char *after) {
+        EXPECT_EQ(test::firstNonZeroCleanPage(mem), -1) << after;
+    };
+    // A fresh memory is all clean and all zero.
+    for (Addr a = 0; a < mem.size(); a += kPage)
+        ASSERT_FALSE(mem.pageDirty(a)) << std::hex << a;
+
+    const Addr p0 = 0x10000;
+    EXPECT_TRUE(mem.tryWrite8(p0 + 1 * kPage + 5, 0x11));
+    EXPECT_TRUE(mem.tryWrite32(p0 + 2 * kPage + 8, 0x22222222));
+    mem.write8(p0 + 3 * kPage + 1, 0x33);
+    mem.write16(p0 + 4 * kPage + 2, 0x4444);
+    mem.write32(p0 + 5 * kPage + 4, 0x55555555);
+    mem.rawWrite8(p0 + 6 * kPage, 0x66);
+    mem.rawWrite32(p0 + 7 * kPage + 12, 0x77777777);
+    const uint8_t bytes[6] = { 1, 2, 3, 4, 5, 6 };
+    mem.rawWriteBytes(p0 + 8 * kPage + 100, bytes, sizeof bytes);
+    expectInvariant("single-page writes");
+    for (unsigned i = 1; i <= 8; ++i)
+        EXPECT_TRUE(mem.pageDirty(p0 + i * kPage)) << i;
+    EXPECT_FALSE(mem.pageDirty(p0));
+    EXPECT_FALSE(mem.pageDirty(p0 + 9 * kPage));
+
+    // 4-byte stores straddling a page edge mark both pages.
+    const Addr edge = p0 + 10 * kPage;
+    EXPECT_TRUE(mem.tryWrite32(edge - 2, 0xaabbccdd));
+    EXPECT_TRUE(mem.pageDirty(edge - 1));
+    EXPECT_TRUE(mem.pageDirty(edge));
+    mem.write32(edge + kPage - 1, 0x01020304);
+    mem.rawWrite32(edge + 2 * kPage - 3, 0x05060708);
+    mem.write16(edge + 3 * kPage - 1, 0x0909);
+    mem.rawWriteBytes(edge + 4 * kPage - 3, bytes, sizeof bytes);
+    expectInvariant("straddling writes");
+
+    // A partial-page zeroRange zeroes without cleaning; a whole-page
+    // one cleans and retires cached hint windows.
+    uint64_t epoch = mem.layoutEpoch();
+    mem.zeroRange(p0 + 2 * kPage + 8, 4);
+    EXPECT_TRUE(mem.pageDirty(p0 + 2 * kPage));
+    EXPECT_EQ(mem.layoutEpoch(), epoch);
+    EXPECT_EQ(mem.read32(p0 + 2 * kPage + 8), 0u);
+    mem.zeroRange(p0 + 1 * kPage, kPage + 1);
+    EXPECT_FALSE(mem.pageDirty(p0 + 1 * kPage));
+    EXPECT_TRUE(mem.pageDirty(p0 + 2 * kPage));
+    EXPECT_NE(mem.layoutEpoch(), epoch);
+    epoch = mem.layoutEpoch();
+    mem.zeroRange(p0 + 1 * kPage, kPage); // already clean
+    EXPECT_EQ(mem.layoutEpoch(), epoch);
+    expectInvariant("zeroRange");
+
+    // Journal rollback restores bytes into pages zeroRange cleaned
+    // after they were journaled.
+    mem.beginJournal();
+    mem.write32(p0 + 20 * kPage, 0x12345678);
+    mem.write32(p0 + 5 * kPage + 4, 0xdeadbeef);
+    mem.zeroRange(p0 + 5 * kPage, kPage);
+    EXPECT_FALSE(mem.pageDirty(p0 + 5 * kPage));
+    mem.rollback();
+    EXPECT_EQ(mem.read32(p0 + 20 * kPage), 0u);
+    EXPECT_EQ(mem.read32(p0 + 5 * kPage + 4), 0x55555555u);
+    expectInvariant("journal rollback");
+
+    // Write probes mark the page(s) of the access and bound the
+    // window to them; read probes do neither.
+    Memory::SpanHint h;
+    ASSERT_TRUE(mem.probe32Span(h, p0 + 24 * kPage - 2, PermR));
+    EXPECT_FALSE(mem.pageDirty(p0 + 23 * kPage));
+    EXPECT_FALSE(mem.pageDirty(p0 + 24 * kPage));
+    EXPECT_EQ(h.lo, p0);
+    EXPECT_EQ(h.hi, p0 + 32 * kPage - 1); // first-byte rule
+    ASSERT_TRUE(mem.probe32Span(h, p0 + 24 * kPage - 2, PermW));
+    EXPECT_TRUE(mem.pageDirty(p0 + 23 * kPage));
+    EXPECT_TRUE(mem.pageDirty(p0 + 24 * kPage));
+    EXPECT_EQ(h.lo, p0 + 23 * kPage);
+    EXPECT_EQ(h.hi, p0 + 25 * kPage - 4);
+    ASSERT_TRUE(mem.probe8Span(h, p0 + 25 * kPage + 7, PermW));
+    EXPECT_TRUE(mem.pageDirty(p0 + 25 * kPage));
+    EXPECT_EQ(h.lo, p0 + 25 * kPage);
+    EXPECT_EQ(h.hi, p0 + 26 * kPage - 1);
+
+    // Wiping the whole region leaves every page clean and zero.
+    mem.zeroRange(p0, 32 * kPage);
+    for (Addr a = 0; a < mem.size(); a += kPage)
+        EXPECT_FALSE(mem.pageDirty(a)) << std::hex << a;
+    expectInvariant("full wipe");
 }
 
 TEST(MemoryDeathTest, WritableExecutableRegionIsRejected)

@@ -333,6 +333,110 @@ TEST(JitSmoke, ByteStoreFaultMatchesBlockLoop)
     }
 }
 
+/**
+ * A store loop over the 4-page global "buf". @p straddle selects the
+ * shape: false sweeps byte stores over the 8 KiB from buf + 4096;
+ * true repeats a 4-byte store 2 bytes below the page boundary that
+ * follows the page of buf + 4096, so each store spans two pages.
+ */
+IrModule
+pageStoreModule(bool straddle)
+{
+    IrModule m;
+    m.name = straddle ? "straddle" : "pagesweep";
+    IrBuilder b(m);
+    uint32_t buf = b.addGlobal("buf", 4 * Memory::kPageBytes);
+    uint32_t main_fn = b.declareFunction("main", 0);
+    b.setEntry(main_fn);
+    b.beginFunction(main_fn);
+    ValueId base = b.globalAddr(buf);
+    ValueId i = b.constI(0);
+    ValueId acc = b.constI(0);
+    uint32_t loop = b.newBlock(), body = b.newBlock(),
+             done = b.newBlock();
+    b.br(loop);
+    b.setBlock(loop);
+    b.condBrI(Cond::Lt, i, 1 << 24, body, done);
+    b.setBlock(body);
+    if (straddle) {
+        ValueId edge = b.andI(b.addI(base, 2 * Memory::kPageBytes),
+                              -int32_t(Memory::kPageBytes));
+        b.store(edge, b.orI(i, 0x01010101), -2);
+        b.assignBinop(IrOp::Add, acc, acc, b.load(edge, -2));
+    } else {
+        ValueId at = b.add(b.addI(base, Memory::kPageBytes),
+                           b.andI(i, 2 * Memory::kPageBytes - 1));
+        b.store8(at, b.orI(b.mulI(i, 7), 1));
+        b.assignBinop(IrOp::Add, acc, acc, b.load8(at));
+    }
+    b.assignBinopI(IrOp::Add, i, i, 1);
+    b.br(loop);
+    b.setBlock(done);
+    b.ret(acc);
+    b.endFunction();
+    return m;
+}
+
+TEST(JitSmoke, CompiledStoresMarkCleanedPages)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // Compiled stores bypass the checked write paths, so only their
+    // hint probes mark pages dirty. Warm a trace, clean the pages it
+    // stores to, re-enter it, and require every page it wrote to be
+    // marked again — for a sweep across pages (write windows must be
+    // page-bounded) and for a store straddling a page edge (both
+    // pages marked). A stale window that outlived the cleaning would
+    // store without a mark.
+    for (bool straddle : { false, true }) {
+        FatBinary bin = compileModule(pageStoreModule(straddle));
+        const Addr buf = bin.globalAddr.at(0);
+        constexpr Addr kPage = Memory::kPageBytes;
+        const Addr lo = (buf + kPage) & ~(kPage - 1);
+        const Addr hi = lo + (straddle ? 2 : 3) * kPage;
+        for (IsaKind isa : kAllIsas) {
+            const std::string label = std::string(isaName(isa)) +
+                (straddle ? "/straddle" : "/sweep");
+            Memory mem;
+            loadFatBinary(bin, mem);
+            GuestOs os;
+            PsrConfig cfg;
+            cfg.seed = 11;
+            cfg.jitMode = PsrConfig::JitMode::On;
+            PsrVm vm(bin, isa, mem, os, cfg);
+            vm.reset();
+            ASSERT_EQ(vm.run(400'000).reason, VmStop::StepLimit)
+                << label;
+            const uint64_t compiled = vm.jitStats().compiledTraces;
+            const uint64_t entries = vm.jitStats().executions;
+            ASSERT_GT(compiled, 0u) << label;
+
+            const uint64_t epoch = mem.layoutEpoch();
+            mem.zeroRange(lo, hi - lo);
+            EXPECT_NE(mem.layoutEpoch(), epoch) << label;
+            for (Addr a = lo; a < hi; a += kPage)
+                ASSERT_FALSE(mem.pageDirty(a)) << label;
+
+            ASSERT_EQ(vm.run(400'000).reason, VmStop::StepLimit)
+                << label;
+            // The stores after the cleaning ran in the warm trace.
+            EXPECT_EQ(vm.jitStats().compiledTraces, compiled) << label;
+            EXPECT_GT(vm.jitStats().executions, entries) << label;
+            EXPECT_EQ(test::firstNonZeroCleanPage(mem), -1) << label;
+            const Addr first = straddle ? lo + kPage - 2 : lo;
+            const Addr last = straddle ? lo + kPage + 1 : lo + 2 * kPage - 1;
+            for (Addr a = first & ~(kPage - 1); a <= last; a += kPage)
+                EXPECT_TRUE(mem.pageDirty(a)) << label << std::hex
+                                              << " page 0x" << a;
+
+            mem.zeroRange(lo, hi - lo);
+            for (Addr a = lo; a < hi; ++a)
+                ASSERT_EQ(mem.rawRead8(a), 0u) << label;
+            EXPECT_EQ(test::firstNonZeroCleanPage(mem), -1) << label;
+        }
+    }
+}
+
 TEST(JitSmoke, ByteStoreEncodesEveryAllocatableRegister)
 {
     if (!jitHostOk())

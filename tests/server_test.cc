@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -202,6 +204,81 @@ TEST(GuestProcess, RespawnReRandomizesButPreservesOutput)
     GuestProcessStats s = proc.stats();
     EXPECT_GE(s.programsCompleted, 1u);
     EXPECT_EQ(s.checksumMismatches, 0u);
+}
+
+// A respawn wipes only the pages the crashed generation dirtied. The
+// mutable image it leaves behind must still equal a freshly
+// constructed process's, byte for byte, and keep the dirty-page
+// invariant.
+TEST(GuestProcess, RespawnImageEqualsFreshProcess)
+{
+    const FatBinary &bin = httpdBin();
+    GuestProcessConfig cfg = procConfig();
+    GuestProcess proc(bin, cfg);
+    proc.beginService(400'000);
+    for (int i = 0; i < 8 && proc.state() == ProcState::Ready; ++i)
+        proc.runQuantum(20'000);
+    if (proc.state() == ProcState::Blocked)
+        proc.beginService(400'000);
+    ASSERT_EQ(proc.state(), ProcState::Ready);
+    ASSERT_TRUE(proc.injectCorruption(3));
+    proc.runQuantum(50'000);
+    ASSERT_EQ(proc.state(), ProcState::Crashed);
+
+    GuestProcess fresh(bin, cfg);
+    const Memory &a = proc.mem();
+    const Memory &b = fresh.mem();
+    constexpr Addr lo = layout::kDataBase, hi = layout::kStackTop;
+    ASSERT_NE(std::memcmp(a.data() + lo, b.data() + lo, hi - lo), 0);
+    proc.respawn();
+    EXPECT_EQ(std::memcmp(a.data() + lo, b.data() + lo, hi - lo), 0);
+    EXPECT_EQ(firstNonZeroCleanPage(a), -1);
+}
+
+// Checkpoints skip pages the dirty map reports clean. On a server
+// whose workers crashed and respawned, each worker's saveState page
+// stream must equal one built by scanning every page of its image.
+TEST(GuestProcess, CheckpointPagesMatchFullScan)
+{
+    ServerConfig cfg;
+    cfg.workers = 4;
+    cfg.requestCount = 80;
+    cfg.mix.attackFrac = 0.3;
+    cfg.hipstr.diversificationProbability = 1.0;
+    ProtectedServer server(httpdBin(), cfg);
+    server.beginRun();
+    uint32_t respawns = 0;
+    for (int round = 0; round < 400 && respawns < 4; ++round) {
+        ASSERT_TRUE(server.stepRound());
+        respawns = 0;
+        for (const auto &w : server.workers())
+            respawns += w->respawnCount();
+    }
+    ASSERT_GE(respawns, 4u);
+
+    for (const auto &w : server.workers()) {
+        ByteWriter saved;
+        w->saveState(saved);
+        // The reference stream: every non-zero page of the mutable
+        // image, in address order, then the terminator.
+        ByteWriter ref;
+        const uint8_t *bytes = w->mem().data();
+        for (Addr page = layout::kDataBase; page < layout::kStackTop;
+             page += Memory::kPageBytes) {
+            const uint8_t *p = bytes + page;
+            if (std::all_of(p, p + Memory::kPageBytes,
+                            [](uint8_t v) { return v == 0; }))
+                continue;
+            ref.u32(page);
+            ref.bytes(p, Memory::kPageBytes);
+        }
+        ref.u32(0xffffffffu);
+        const std::vector<uint8_t> &s = saved.data();
+        const std::vector<uint8_t> &r = ref.data();
+        ASSERT_GT(s.size(), r.size());
+        EXPECT_TRUE(std::equal(r.begin(), r.end(), s.end() - r.size()))
+            << "pid " << w->pid();
+    }
 }
 
 // Resumable-runtime contract: slicing a run into quanta must be

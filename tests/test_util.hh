@@ -73,6 +73,26 @@ dataChecksum(const Memory &mem)
     return h;
 }
 
+/**
+ * Address of the first page @p mem reports clean (pageDirty() false)
+ * that holds a non-zero byte, or -1 if every clean page is all zero.
+ * A write path that bypasses the dirty-page map shows up here.
+ */
+inline int64_t
+firstNonZeroCleanPage(const Memory &mem)
+{
+    for (Addr page = 0; page < mem.size(); page += Memory::kPageBytes) {
+        if (mem.pageDirty(page))
+            continue;
+        const uint8_t *p = mem.data() + page;
+        for (uint32_t i = 0; i < Memory::kPageBytes; ++i) {
+            if (p[i] != 0)
+                return page;
+        }
+    }
+    return -1;
+}
+
 } // namespace hipstr::test
 
 #endif // HIPSTR_TESTS_TEST_UTIL_HH
