@@ -201,8 +201,8 @@ CampaignConfig campaignConfigFor(CampaignStrategy s,
  * The engine. Sequential by construction: rewrite() runs inside the
  * server/fleet's sequential draw loops, observe() inside the
  * sequential poll/dispose sections, commitRound() once per round from
- * the owner (the server when ServerConfig::campaignCommits, else the
- * fleet).
+ * the owner (a lone server, or the fleet for its shard-mode
+ * servers).
  */
 class CampaignEngine
 {

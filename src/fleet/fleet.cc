@@ -84,7 +84,6 @@ shardServerConfig(const FleetConfig &cfg, unsigned k)
     // order — the permuteShardStep invariance root).
     sc.campaign = cfg.campaign;
     sc.campaignShard = k;
-    sc.campaignCommits = false;
     // onComplete/onRetry are wired by the ProtectedFleet constructor.
     sc.onComplete = nullptr;
     sc.onRetry = nullptr;

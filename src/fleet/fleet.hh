@@ -63,36 +63,9 @@ constexpr size_t kNumFleetOutcomes = 3;
 
 const char *fleetOutcomeName(FleetOutcome o);
 
-/**
- * Observation/substitution seam for record/replay at the fleet level,
- * mirroring ServerTap: the balancer's request draws are the fleet's
- * only stream nondeterminism, and each fleet round ends with a sync
- * signature. A null tap leaves the loop untouched.
- */
-class FleetTap
-{
-  public:
-    virtual ~FleetTap() = default;
-
-    /** Offer to supply request @p id instead of drawing it from the
-     *  fleet stream (a replayer answers from its journal). */
-    virtual bool supplyRequest(uint64_t id, Request &out)
-    {
-        (void)id;
-        (void)out;
-        return false;
-    }
-
-    /** A request was drawn from the live fleet stream. */
-    virtual void requestDrawn(const Request &r) { (void)r; }
-
-    /** A fleet round completed (1-based, like ServerTap). */
-    virtual void roundEnd(uint64_t round, uint64_t syncSig)
-    {
-        (void)round;
-        (void)syncSig;
-    }
-};
+/** The fleet taps through ServerTap; this name stays for callers that
+ *  spell it for a fleet (perfbench's round-gap tap). */
+using FleetTap = ServerTap;
 
 /** Fleet configuration. */
 struct FleetConfig
@@ -149,7 +122,10 @@ struct FleetConfig
     telemetry::MetricRegistry *metrics = nullptr;
     /** Metric-name prefix, e.g. "fleet" → "fleet.availability". */
     std::string metricsPrefix = "fleet";
-    FleetTap *tap = nullptr;
+    /** Record/replay seam (ServerTap): the balancer's draws are the
+     *  fleet's only stream nondeterminism, and each fleet round ends
+     *  with roundSyncSignature(). */
+    ServerTap *tap = nullptr;
     /** @} */
 
     /**

@@ -148,7 +148,6 @@ parseJournal(const std::vector<uint8_t> &bytes)
             switch (static_cast<RecordTag>(tag)) {
               case RecordTag::Request: {
                   Request req = readRequest(body);
-                  pending.draws.push_back(req);
                   j.requests[req.id] = req;
                   break;
               }

@@ -1,13 +1,14 @@
 /**
  * @file
  * The record/replay journal: a versioned, length-prefixed binary log
- * of every nondeterministic input a protected-server run consumed —
- * request-stream draws, fault-plan firings, diversification coin
- * flips — framed per scheduler round with a sync signature at each
- * round boundary and full server checkpoints at a configurable
- * cadence. A journal plus the (FatBinary, ServerConfig) pair it was
- * recorded against is sufficient to re-drive the run bit-exactly,
- * from the start or from any checkpointed sync point.
+ * of every nondeterministic input a protected-server or fleet run
+ * consumed — request-stream draws, fault-plan firings,
+ * diversification coin flips — framed per scheduler round with a sync
+ * signature at each round boundary and, for a server, full
+ * checkpoints at a configurable cadence. A journal plus the
+ * (FatBinary, config) pair it was recorded against is sufficient to
+ * re-drive the run bit-exactly, from the start or from any
+ * checkpointed sync point.
  *
  * Layout (all integers little-endian):
  *
@@ -16,10 +17,11 @@
  *
  * Per completed round the recorder emits, in order: the Request
  * records drawn during that round's assignment, the Fault and Outage
- * records the fault plan fired, the Coin records each worker drew
- * (pid order), one Sync record closing the round, and optionally one
- * Checkpoint record. One End record terminates the journal; a
- * journal without it is truncated.
+ * records each shard's fault plan fired (shard order), the Coin
+ * records each worker drew (global pid order; record_replay.hh
+ * defines the id spaces), one Sync record closing the round, and
+ * optionally one Checkpoint record. One End record terminates the
+ * journal; a journal without it is truncated.
  */
 
 #ifndef HIPSTR_REPLAY_JOURNAL_HH
@@ -107,12 +109,11 @@ class JournalWriter
     uint64_t _bytes = 0;
 };
 
-/** Everything one recorded round contributed to the journal. */
+/** What one recorded round contributed to the journal beyond its
+ *  requests (Journal::requests) and fault firings. */
 struct RoundData
 {
-    /** Requests drawn during this round's assignment, in draw order. */
-    std::vector<Request> draws;
-    /** Coin flips, (pid, flip) in per-worker drain order. */
+    /** Coin flips, (global pid, flip) in per-worker drain order. */
     std::vector<std::pair<uint32_t, uint8_t>> coins;
     uint64_t syncSig = 0;
     /** Full server checkpoint taken at this round's end (may be
@@ -126,11 +127,12 @@ struct Journal
     uint64_t configHash = 0;
     /** Per-round data, keyed by the 1-based completed-round number. */
     std::map<uint64_t, RoundData> rounds;
-    /** Request draws keyed by id (same requests as rounds[].draws). */
+    /** Request draws keyed by id. */
     std::map<uint64_t, Request> requests;
-    /** Fault firings keyed by (pid, quantum serial). */
+    /** Fault firings keyed by (global pid, quantum serial). */
     std::map<std::pair<uint32_t, uint64_t>, QuantumFault> faults;
-    /** Outage starts keyed by (coreId, round) → length in rounds. */
+    /** Outage starts keyed by (global core id, round) → length in
+     *  rounds. */
     std::map<std::pair<uint32_t, uint64_t>, uint32_t> outages;
     /** From the End record. @{ */
     uint64_t endRounds = 0;

@@ -1,8 +1,9 @@
 #include "record_replay.hh"
 
 #include <deque>
-
-#include "support/logging.hh"
+#include <functional>
+#include <memory>
+#include <vector>
 
 namespace hipstr
 {
@@ -12,13 +13,15 @@ namespace replay
 namespace
 {
 
-void
-fold64(uint64_t &h, uint64_t v)
+uint64_t
+fnv1a(const ByteWriter &w)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint8_t b : w.data()) {
+        h ^= b;
         h *= 0x100000001b3ull;
     }
+    return h;
 }
 
 void
@@ -30,71 +33,200 @@ writeRequest(ByteWriter &w, const Request &r)
     w.u32(r.retries);
 }
 
-} // namespace
-
-// ---------------------------------------------------------------
-// Fault-plan decorators.
-// ---------------------------------------------------------------
-
-RecordingFaultPlan::RecordingFaultPlan(const FaultPlanConfig &cfg,
-                                       unsigned workers)
-    : FaultPlan(cfg), _faultLog(workers)
+/**
+ * Shard k of a K-shard run as the journal sees it: the fault config
+ * it runs, its worker count, and where its pids and core ids start in
+ * the journal's flat global id spaces. The standalone server is the
+ * single shard k = 0.
+ */
+struct Shard
 {
+    FaultPlanConfig faults;
+    unsigned workers;
+    uint32_t pidBase;
+    uint32_t coreBase;
+};
+
+Shard
+shardOf(const ServerConfig &sc, unsigned k)
+{
+    return Shard{ sc.faults, sc.workers, k * sc.workers,
+                  k * (sc.cmp.riscCores + sc.cmp.ciscCores) };
 }
 
-QuantumFault
-RecordingFaultPlan::quantumFault(uint32_t pid, uint64_t serial) const
+std::vector<Shard>
+shardsOf(const ServerConfig &cfg)
 {
-    QuantumFault f = FaultPlan::quantumFault(pid, serial);
-    if (f.kind != FaultKind::None && pid < _faultLog.size())
-        _faultLog[pid].push_back(FaultRec{ pid, serial, f });
-    return f;
+    return { shardOf(cfg, 0) };
 }
 
-uint32_t
-RecordingFaultPlan::coreOutageAt(unsigned coreId, IsaKind isa,
-                                 uint64_t round) const
+std::vector<Shard>
+shardsOf(const FleetConfig &cfg)
 {
-    uint32_t len = FaultPlan::coreOutageAt(coreId, isa, round);
-    if (len != 0)
-        _outageLog.push_back(OutageRec{ coreId, isa, round, len });
-    return len;
+    // Decorate the exact derived fault config each shard runs
+    // (per-shard seed included) so a recorded run draws the same
+    // fault stream as an un-recorded one.
+    std::vector<Shard> out;
+    for (unsigned k = 0; k < cfg.shards; ++k)
+        out.push_back(shardOf(shardServerConfig(cfg, k), k));
+    return out;
 }
 
-void
-RecordingFaultPlan::drain(std::vector<FaultRec> &faults,
-                          std::vector<OutageRec> &outages) const
+/** Every worker's runtime, in global-pid order. @{ */
+std::vector<HipstrRuntime *>
+runtimesOf(ProtectedServer &srv)
 {
-    faults.clear();
-    outages.clear();
-    for (auto &perPid : _faultLog) {
-        faults.insert(faults.end(), perPid.begin(), perPid.end());
-        perPid.clear();
+    std::vector<HipstrRuntime *> out;
+    for (const auto &w : srv.workers())
+        out.push_back(&w->runtime());
+    return out;
+}
+
+std::vector<HipstrRuntime *>
+runtimesOf(ProtectedFleet &fleet)
+{
+    std::vector<HipstrRuntime *> out;
+    for (unsigned k = 0; k < fleet.config().shards; ++k) {
+        std::vector<HipstrRuntime *> rts = runtimesOf(fleet.shard(k));
+        out.insert(out.end(), rts.begin(), rts.end());
     }
-    outages.swap(_outageLog);
+    return out;
+}
+/** @} */
+
+template <class Plan>
+std::vector<const FaultPlan *>
+planPointers(const std::vector<std::unique_ptr<Plan>> &plans)
+{
+    std::vector<const FaultPlan *> out;
+    for (const auto &p : plans)
+        out.push_back(p.get());
+    return out;
 }
 
-ReplayFaultPlan::ReplayFaultPlan(const FaultPlanConfig &cfg,
-                                 const Journal &j)
-    : FaultPlan(cfg), _journal(j)
-{
-}
+// ---------------------------------------------------------------
+// Fault plans.
+// ---------------------------------------------------------------
 
-QuantumFault
-ReplayFaultPlan::quantumFault(uint32_t pid, uint64_t serial) const
+/**
+ * FaultPlan decorator that answers from the real plan and journals
+ * every non-trivial answer under global ids. The per-pid fault log is
+ * written from concurrently running quanta, but each pid runs at most
+ * one quantum per round on one host thread, so distinct pids never
+ * race and one pid's entries are ordered by its quantum serial.
+ * Outage queries happen in the scheduler's sequential supervision
+ * step.
+ */
+class RecordingFaultPlan : public FaultPlan
 {
-    auto it = _journal.faults.find({ pid, serial });
-    return it == _journal.faults.end() ? QuantumFault{} : it->second;
-}
+  public:
+    explicit RecordingFaultPlan(const Shard &s)
+        : FaultPlan(s.faults), _shard(s), _faultLog(s.workers)
+    {
+    }
 
-uint32_t
-ReplayFaultPlan::coreOutageAt(unsigned coreId, IsaKind isa,
-                              uint64_t round) const
+    QuantumFault
+    quantumFault(uint32_t pid, uint64_t serial) const override
+    {
+        QuantumFault f = FaultPlan::quantumFault(pid, serial);
+        if (f.kind != FaultKind::None && pid < _faultLog.size())
+            _faultLog[pid].push_back({ serial, f });
+        return f;
+    }
+
+    uint32_t
+    coreOutageAt(unsigned coreId, IsaKind isa,
+                 uint64_t round) const override
+    {
+        uint32_t len = FaultPlan::coreOutageAt(coreId, isa, round);
+        if (len != 0)
+            _outageLog.push_back(OutageRec{ coreId, isa, round, len });
+        return len;
+    }
+
+    /** Journal everything logged since the last flush: faults in pid
+     *  order, then outages in query order. */
+    void
+    flush(JournalWriter &out) const
+    {
+        for (uint32_t pid = 0; pid < _faultLog.size(); ++pid) {
+            for (const auto &[serial, f] : _faultLog[pid]) {
+                ByteWriter w;
+                w.u32(_shard.pidBase + pid);
+                w.u64(serial);
+                w.u8(static_cast<uint8_t>(f.kind));
+                w.u64(f.payload);
+                out.record(RecordTag::Fault, w);
+            }
+            _faultLog[pid].clear();
+        }
+        for (const OutageRec &o : _outageLog) {
+            ByteWriter w;
+            w.u32(_shard.coreBase + o.coreId);
+            w.u8(static_cast<uint8_t>(o.isa));
+            w.u64(o.round);
+            w.u32(o.len);
+            out.record(RecordTag::Outage, w);
+        }
+        _outageLog.clear();
+    }
+
+  private:
+    struct OutageRec
+    {
+        uint32_t coreId;
+        IsaKind isa;
+        uint64_t round;
+        uint32_t len;
+    };
+
+    Shard _shard;
+    /** Indexed by local pid: (quantum serial, fault). Mutable because
+     *  the query API is const. */
+    mutable std::vector<std::vector<std::pair<uint64_t, QuantumFault>>>
+        _faultLog;
+    mutable std::vector<OutageRec> _outageLog;
+};
+
+/**
+ * FaultPlan that answers one shard's quantum faults and core outages
+ * from a parsed journal, rebasing its ids into the journal's global
+ * spaces; wedge lengths (a pure function of the payload) delegate to
+ * the real plan's derivation.
+ */
+class ReplayFaultPlan : public FaultPlan
 {
-    (void)isa;
-    auto it = _journal.outages.find({ coreId, round });
-    return it == _journal.outages.end() ? 0 : it->second;
-}
+  public:
+    ReplayFaultPlan(const Shard &s, const Journal &j)
+        : FaultPlan(s.faults), _journal(j), _pidBase(s.pidBase),
+          _coreBase(s.coreBase)
+    {
+    }
+
+    QuantumFault
+    quantumFault(uint32_t pid, uint64_t serial) const override
+    {
+        auto it = _journal.faults.find({ _pidBase + pid, serial });
+        return it == _journal.faults.end() ? QuantumFault{}
+                                           : it->second;
+    }
+
+    uint32_t
+    coreOutageAt(unsigned coreId, IsaKind isa,
+                 uint64_t round) const override
+    {
+        (void)isa;
+        auto it = _journal.outages.find({ _coreBase + coreId, round });
+        return it == _journal.outages.end() ? 0 : it->second;
+    }
+
+  private:
+    const Journal &_journal;
+    uint32_t _pidBase;
+    uint32_t _coreBase;
+};
+
+} // namespace
 
 // ---------------------------------------------------------------
 // Config hashing.
@@ -166,13 +298,39 @@ serverConfigHash(const ServerConfig &cfg)
     // Shard mode changes the serve loop (no stream draws, external
     // intake) even though the callbacks themselves are output-only.
     w.boolean(cfg.shardMode);
+    return fnv1a(w);
+}
 
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t b : w.data()) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+uint64_t
+fleetConfigHash(const FleetConfig &cfg)
+{
+    ByteWriter w;
+    w.u32(cfg.shards);
+    w.u64(cfg.requestCount);
+    w.u64(cfg.seed);
+    w.f64(cfg.mix.dynamicFrac);
+    w.f64(cfg.mix.postFrac);
+    w.f64(cfg.mix.malformedFrac);
+    w.f64(cfg.mix.attackFrac);
+    w.u64(cfg.costs.staticInsts);
+    w.u64(cfg.costs.dynamicInsts);
+    w.u64(cfg.costs.postInsts);
+    w.u64(cfg.costs.malformedInsts);
+    w.u64(cfg.costs.attackInsts);
+    w.u64(cfg.sessions);
+    w.u32(cfg.vnodesPerShard);
+    w.u64(static_cast<uint64_t>(cfg.queueCap));
+    w.u64(cfg.sloRounds);
+    w.u32(cfg.batchSize);
+    w.boolean(cfg.workStealing);
+    // Every derived shard config, k order: two fleets hash equal iff
+    // every shard would behave identically. shardPlanOverrides do not
+    // feed shardServerConfig's hashed fields (faultPlanOverride is an
+    // excluded observer), so a recording config and a replay config
+    // carrying different decorators still hash the same — by design.
+    for (unsigned k = 0; k < cfg.shards; ++k)
+        w.u64(serverConfigHash(shardServerConfig(cfg, k)));
+    return fnv1a(w);
 }
 
 // ---------------------------------------------------------------
@@ -182,16 +340,52 @@ serverConfigHash(const ServerConfig &cfg)
 namespace
 {
 
-/** The recorder tap: buffers one round's draws and flushes every
- *  journaled stream at the round boundary, in a fixed order. */
+/**
+ * The recorder tap: buffers one round's draws and flushes every
+ * journaled stream at the round boundary in a fixed order — draws,
+ * then each shard's fault plan in shard order, then every worker's
+ * coins in global-pid order, then the Sync record and, on cadence, a
+ * Checkpoint.
+ */
 class Recorder : public ServerTap
 {
   public:
-    Recorder(JournalWriter &out, const RecordingFaultPlan *plan,
-             unsigned workers, uint64_t checkpointEvery)
-        : coinLogs(workers), _out(out), _plan(plan),
-          _every(checkpointEvery)
+    Recorder(const std::string &path, uint64_t configHash,
+             const std::vector<Shard> &shards)
+        : _out(path, configHash)
     {
+        for (const Shard &s : shards) {
+            if (s.faults.enabled)
+                _plans.push_back(std::make_unique<RecordingFaultPlan>(s));
+        }
+    }
+    Recorder(const Recorder &) = delete;
+    Recorder &operator=(const Recorder &) = delete;
+
+    /** The recording plans in shard order; empty without faults. */
+    std::vector<const FaultPlan *>
+    plans() const
+    {
+        return planPointers(_plans);
+    }
+
+    /** Capture the coin flips of @p rts (global-pid order). */
+    void
+    logCoins(const std::vector<HipstrRuntime *> &rts)
+    {
+        _coinLogs.resize(rts.size());
+        for (size_t i = 0; i < rts.size(); ++i)
+            rts[i]->coinLog = &_coinLogs[i];
+    }
+
+    /** Journal @p save's checkpoint every @p every rounds (0 =
+     *  never). */
+    void
+    checkpointEvery(uint64_t every,
+                    std::function<void(ByteWriter &)> save)
+    {
+        _every = every;
+        _save = std::move(save);
     }
 
     void
@@ -210,35 +404,16 @@ class Recorder : public ServerTap
             _out.record(RecordTag::Request, w);
         }
         _draws.clear();
-        if (_plan != nullptr) {
-            std::vector<RecordingFaultPlan::FaultRec> fs;
-            std::vector<RecordingFaultPlan::OutageRec> os;
-            _plan->drain(fs, os);
-            for (const auto &f : fs) {
+        for (const auto &plan : _plans)
+            plan->flush(_out);
+        for (size_t gpid = 0; gpid < _coinLogs.size(); ++gpid) {
+            for (uint8_t flip : _coinLogs[gpid]) {
                 ByteWriter w;
-                w.u32(f.pid);
-                w.u64(f.serial);
-                w.u8(static_cast<uint8_t>(f.fault.kind));
-                w.u64(f.fault.payload);
-                _out.record(RecordTag::Fault, w);
-            }
-            for (const auto &o : os) {
-                ByteWriter w;
-                w.u32(o.coreId);
-                w.u8(static_cast<uint8_t>(o.isa));
-                w.u64(o.round);
-                w.u32(o.len);
-                _out.record(RecordTag::Outage, w);
-            }
-        }
-        for (size_t pid = 0; pid < coinLogs.size(); ++pid) {
-            for (uint8_t flip : coinLogs[pid]) {
-                ByteWriter w;
-                w.u32(uint32_t(pid));
+                w.u32(uint32_t(gpid));
                 w.u8(flip);
                 _out.record(RecordTag::Coin, w);
             }
-            coinLogs[pid].clear();
+            _coinLogs[gpid].clear();
         }
         {
             ByteWriter w;
@@ -246,9 +421,9 @@ class Recorder : public ServerTap
             w.u64(sig);
             _out.record(RecordTag::Sync, w);
         }
-        if (server != nullptr && _every != 0 && round % _every == 0) {
+        if (_every != 0 && round % _every == 0) {
             ByteWriter cp;
-            server->saveCheckpoint(cp);
+            _save(cp);
             ByteWriter w;
             w.u64(round);
             w.u32(uint32_t(cp.size()));
@@ -258,19 +433,29 @@ class Recorder : public ServerTap
         }
     }
 
-    /** Wired after construction (the server's config needs the tap
-     *  pointer before the server exists). */
-    ProtectedServer *server = nullptr;
-    /** Per-worker coin capture, wired into each runtime's coinLog. */
-    std::vector<std::vector<uint8_t>> coinLogs;
+    /** Write the End record and close; returns the journal size. */
+    uint64_t
+    finish(uint64_t rounds, uint64_t signature, uint64_t served)
+    {
+        ByteWriter end;
+        end.u64(rounds);
+        end.u64(signature);
+        end.u64(served);
+        _out.record(RecordTag::End, end);
+        _out.close();
+        return _out.bytesWritten();
+    }
+
     uint64_t requestsDrawn = 0;
     uint64_t checkpoints = 0;
 
   private:
-    JournalWriter &_out;
-    const RecordingFaultPlan *_plan;
+    JournalWriter _out;
+    std::vector<std::unique_ptr<RecordingFaultPlan>> _plans;
+    std::vector<std::vector<uint8_t>> _coinLogs;
     std::vector<Request> _draws;
-    uint64_t _every;
+    uint64_t _every = 0;
+    std::function<void(ByteWriter &)> _save;
 };
 
 } // namespace
@@ -280,39 +465,50 @@ recordRun(const FatBinary &bin, const ServerConfig &cfg,
           const std::string &path, ThreadPool *pool,
           const RecordOptions &opts)
 {
-    JournalWriter out(path, serverConfigHash(cfg));
-
+    Recorder rec(path, serverConfigHash(cfg), shardsOf(cfg));
     ServerConfig rcfg = cfg;
-    std::unique_ptr<RecordingFaultPlan> rplan;
-    if (cfg.faults.enabled) {
-        rplan = std::make_unique<RecordingFaultPlan>(cfg.faults,
-                                                     cfg.workers);
-        rcfg.faultPlanOverride = rplan.get();
-    }
-    Recorder rec(out, rplan.get(), cfg.workers,
-                 opts.checkpointEveryRounds);
     rcfg.tap = &rec;
+    std::vector<const FaultPlan *> plans = rec.plans();
+    if (!plans.empty())
+        rcfg.faultPlanOverride = plans.front();
 
     ProtectedServer srv(bin, rcfg);
-    rec.server = &srv;
-    for (unsigned i = 0; i < cfg.workers; ++i)
-        srv.worker(i).runtime().coinLog = &rec.coinLogs[i];
-
+    rec.logCoins(runtimesOf(srv));
+    rec.checkpointEvery(opts.checkpointEveryRounds,
+                        [&srv](ByteWriter &w) { srv.saveCheckpoint(w); });
     ServerReport report = srv.run(pool);
-
-    ByteWriter end;
-    end.u64(report.rounds);
-    end.u64(report.signature);
-    end.u64(report.requestsServed);
-    out.record(RecordTag::End, end);
-    out.close();
 
     RecordResult res;
     res.report = report;
     res.rounds = report.rounds;
-    res.journalBytes = out.bytesWritten();
+    res.journalBytes = rec.finish(report.rounds, report.signature,
+                                  report.requestsServed);
     res.requestsDrawn = rec.requestsDrawn;
     res.checkpoints = rec.checkpoints;
+    return res;
+}
+
+FleetRecordResult
+recordFleetRun(const FatBinary &bin, const FleetConfig &cfg,
+               const std::string &path, ThreadPool *pool)
+{
+    Recorder rec(path, fleetConfigHash(cfg), shardsOf(cfg));
+    FleetConfig rcfg = cfg;
+    rcfg.tap = &rec;
+    std::vector<const FaultPlan *> plans = rec.plans();
+    if (!plans.empty())
+        rcfg.shardPlanOverrides = plans;
+
+    ProtectedFleet fleet(bin, rcfg);
+    rec.logCoins(runtimesOf(fleet));
+    FleetReport report = fleet.run(pool);
+
+    FleetRecordResult res;
+    res.report = report;
+    res.rounds = report.rounds;
+    res.journalBytes = rec.finish(report.rounds, report.signature,
+                                  report.requestsServed);
+    res.requestsDrawn = rec.requestsDrawn;
     return res;
 }
 
@@ -323,12 +519,70 @@ recordRun(const FatBinary &bin, const ServerConfig &cfg,
 namespace
 {
 
-/** The replayer tap: requests answer from the journal; every round
- *  signature is compared and the first mismatch latched. */
+/**
+ * The replayer tap: requests answer from the journal, faults from
+ * journal-backed plans, coins from per-worker feeds. Every round is
+ * verified in roundEnd, which throws ReplayError at the first
+ * disagreement: both serve loops call it on the caller's thread with
+ * every quantum of the round already joined, so unwinding out of the
+ * loop is safe.
+ */
 class Replayer : public ServerTap
 {
   public:
-    explicit Replayer(const Journal &j) : _j(j) {}
+    /** Parse @p path and require it was recorded under
+     *  @p configHash. */
+    Replayer(const std::string &path, uint64_t configHash,
+             const std::vector<Shard> &shards)
+        : _j(parseJournal(path))
+    {
+        if (_j.configHash != configHash) {
+            throw ReplayError(ReplayErrc::ConfigMismatch,
+                              "journal was recorded under a different "
+                              "configuration");
+        }
+        for (const Shard &s : shards) {
+            if (s.faults.enabled)
+                _plans.push_back(
+                    std::make_unique<ReplayFaultPlan>(s, _j));
+        }
+    }
+    /** The plans point into _j. */
+    Replayer(const Replayer &) = delete;
+    Replayer &operator=(const Replayer &) = delete;
+
+    const Journal &journal() const { return _j; }
+
+    /** The replay plans in shard order; empty without faults. */
+    std::vector<const FaultPlan *>
+    plans() const
+    {
+        return planPointers(_plans);
+    }
+
+    /**
+     * Feed each of @p rts (global-pid order) the coin flips of every
+     * round past @p start, in journal order. Feeds are per-worker, so
+     * concurrent quanta never share one.
+     */
+    void
+    feedCoins(const std::vector<HipstrRuntime *> &rts, uint64_t start)
+    {
+        _rts = rts;
+        _feeds.assign(rts.size(), {});
+        for (const auto &kv : _j.rounds) {
+            if (kv.first <= start)
+                continue;
+            for (const auto &c : kv.second.coins) {
+                if (c.first >= _feeds.size())
+                    throw ReplayError(ReplayErrc::Corrupt,
+                                      "journal coin names bad worker");
+                _feeds[c.first].push_back(c.second);
+            }
+        }
+        for (size_t i = 0; i < rts.size(); ++i)
+            rts[i]->coinFeed = &_feeds[i];
+    }
 
     bool
     supplyRequest(uint64_t id, Request &req) override
@@ -343,122 +597,91 @@ class Replayer : public ServerTap
     void
     roundEnd(uint64_t round, uint64_t sig) override
     {
-        if (diverged)
-            return;
+        // A starved worker also moves the signature; name the cause.
+        for (size_t gpid = 0; gpid < _rts.size(); ++gpid) {
+            if (_rts[gpid]->coinStarved) {
+                throw ReplayError(
+                    ReplayErrc::Divergence,
+                    "worker " + std::to_string(gpid) +
+                        " drew more coins than were recorded");
+            }
+        }
         auto it = _j.rounds.find(round);
         if (it == _j.rounds.end()) {
-            diverged = true;
-            message = "replay reached round " +
-                std::to_string(round) +
-                " which the recording never ran";
-            return;
+            throw ReplayError(ReplayErrc::Divergence,
+                              "replay reached round " +
+                                  std::to_string(round) +
+                                  " which the recording never ran");
         }
         ++syncChecks;
         if (it->second.syncSig != sig) {
-            diverged = true;
-            message = "sync signature mismatch at round " +
-                std::to_string(round);
+            throw ReplayError(ReplayErrc::Divergence,
+                              "sync signature mismatch at round " +
+                                  std::to_string(round));
         }
     }
 
-    bool diverged = false;
-    std::string message;
+    /** Verify the final report against the End record. */
+    void
+    finish(uint64_t rounds, uint64_t signature, uint64_t served) const
+    {
+        if (rounds != _j.endRounds || served != _j.endServed ||
+            signature != _j.endSignature) {
+            throw ReplayError(ReplayErrc::Divergence,
+                              "replayed run's final report disagrees "
+                              "with the recording");
+        }
+    }
+
     uint64_t syncChecks = 0;
 
   private:
-    const Journal &_j;
+    Journal _j;
+    std::vector<std::unique_ptr<ReplayFaultPlan>> _plans;
+    std::vector<HipstrRuntime *> _rts;
+    std::vector<std::deque<uint8_t>> _feeds;
 };
 
 ReplayResult
 drive(const FatBinary &bin, const ServerConfig &cfg,
       const std::string &path, uint64_t fromRound, ThreadPool *pool)
 {
-    Journal j = parseJournal(path);
-    if (j.configHash != serverConfigHash(cfg)) {
-        throw ReplayError(ReplayErrc::ConfigMismatch,
-                          "journal was recorded under a different "
-                          "server configuration");
-    }
-
+    Replayer rep(path, serverConfigHash(cfg), shardsOf(cfg));
     ServerConfig rcfg = cfg;
     // The journal already carries every campaign rewrite; replaying
     // with a live engine attached would double-feed it observations.
     rcfg.campaign = nullptr;
-    std::unique_ptr<ReplayFaultPlan> rplan;
-    if (cfg.faults.enabled) {
-        rplan = std::make_unique<ReplayFaultPlan>(cfg.faults, j);
-        rcfg.faultPlanOverride = rplan.get();
-    }
-    Replayer tap(j);
-    rcfg.tap = &tap;
+    rcfg.tap = &rep;
+    std::vector<const FaultPlan *> plans = rep.plans();
+    if (!plans.empty())
+        rcfg.faultPlanOverride = plans.front();
 
     ProtectedServer srv(bin, rcfg);
     srv.beginRun();
 
-    uint64_t start = 0;
-    if (fromRound > 0) {
-        uint64_t cp = j.checkpointAtOrBefore(fromRound);
-        if (cp != 0) {
-            try {
-                ByteReader r(j.rounds.at(cp).checkpoint);
-                srv.loadCheckpoint(r);
-            } catch (const SerializeError &e) {
-                throw ReplayError(ReplayErrc::Corrupt,
-                                  std::string("checkpoint unusable: ") +
-                                      e.what());
-            }
-            start = cp;
+    uint64_t start = rep.journal().checkpointAtOrBefore(fromRound);
+    if (start != 0) {
+        try {
+            ByteReader r(rep.journal().rounds.at(start).checkpoint);
+            srv.loadCheckpoint(r);
+        } catch (const SerializeError &e) {
+            throw ReplayError(ReplayErrc::Corrupt,
+                              std::string("checkpoint unusable: ") +
+                                  e.what());
         }
     }
+    rep.feedCoins(runtimesOf(srv), start);
 
-    // Feed each worker the coin flips of every round past the start
-    // point, in journal order. Feeds are per-worker, so concurrent
-    // quanta never share one.
-    std::vector<std::deque<uint8_t>> feeds(cfg.workers);
-    for (const auto &kv : j.rounds) {
-        if (kv.first <= start)
-            continue;
-        for (const auto &c : kv.second.coins) {
-            if (c.first >= cfg.workers)
-                throw ReplayError(ReplayErrc::Corrupt,
-                                  "journal coin names bad worker");
-            feeds[c.first].push_back(c.second);
-        }
+    while (srv.stepRound(pool)) {
     }
-    for (unsigned i = 0; i < cfg.workers; ++i)
-        srv.worker(i).runtime().coinFeed = &feeds[i];
-
-    auto check = [&]() {
-        if (tap.diverged)
-            throw ReplayError(ReplayErrc::Divergence, tap.message);
-        for (unsigned i = 0; i < cfg.workers; ++i) {
-            if (srv.worker(i).runtime().coinStarved) {
-                throw ReplayError(
-                    ReplayErrc::Divergence,
-                    "worker " + std::to_string(i) +
-                        " drew more coins than were recorded");
-            }
-        }
-    };
-
-    while (srv.stepRound(pool))
-        check();
-    check();
-
     ServerReport report = srv.finishRun();
-    if (report.rounds != j.endRounds ||
-        report.requestsServed != j.endServed ||
-        report.signature != j.endSignature) {
-        throw ReplayError(ReplayErrc::Divergence,
-                          "replayed run's final report disagrees "
-                          "with the recording");
-    }
+    rep.finish(report.rounds, report.signature, report.requestsServed);
 
     ReplayResult res;
     res.report = report;
     res.rounds = report.rounds - start;
     res.startRound = start;
-    res.syncChecks = tap.syncChecks;
+    res.syncChecks = rep.syncChecks;
     return res;
 }
 
@@ -477,6 +700,31 @@ replayWindow(const FatBinary &bin, const ServerConfig &cfg,
              ThreadPool *pool)
 {
     return drive(bin, cfg, path, fromRound, pool);
+}
+
+FleetReplayResult
+replayFleetRun(const FatBinary &bin, const FleetConfig &cfg,
+               const std::string &path, ThreadPool *pool)
+{
+    Replayer rep(path, fleetConfigHash(cfg), shardsOf(cfg));
+    FleetConfig rcfg = cfg;
+    // As for the server: the journal carries the campaign's rewrites.
+    rcfg.campaign = nullptr;
+    rcfg.tap = &rep;
+    std::vector<const FaultPlan *> plans = rep.plans();
+    if (!plans.empty())
+        rcfg.shardPlanOverrides = plans;
+
+    ProtectedFleet fleet(bin, rcfg);
+    rep.feedCoins(runtimesOf(fleet), 0);
+    FleetReport report = fleet.run(pool);
+    rep.finish(report.rounds, report.signature, report.requestsServed);
+
+    FleetReplayResult res;
+    res.report = report;
+    res.rounds = report.rounds;
+    res.syncChecks = rep.syncChecks;
+    return res;
 }
 
 } // namespace replay

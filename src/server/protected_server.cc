@@ -390,9 +390,9 @@ ProtectedServer::stepRound(ThreadPool *pool)
     }
 
     // Commit the campaign's buffered observations once per round —
-    // only when this server owns the engine (the fleet commits for
-    // its shards, in shard-index order, after all of them stepped).
-    if (_cfg.campaign != nullptr && _cfg.campaignCommits)
+    // only for a lone server (the fleet commits for its shards, in
+    // shard-index order, after all of them stepped).
+    if (_cfg.campaign != nullptr && !_cfg.shardMode)
         _cfg.campaign->commitRound(st.roundNo);
 
     // The round completed (even if it finished the run) — let a

@@ -42,7 +42,8 @@ class CampaignEngine;
  * request materialization, and the end of every scheduler round. A
  * null tap (the default) leaves the serve loop exactly as it was —
  * every hook sits on a per-round (not per-instruction) path, so even
- * a non-null tap costs nothing measurable.
+ * a non-null tap costs nothing measurable. The fleet (src/fleet)
+ * taps its balancer loop through the same interface.
  */
 class ServerTap
 {
@@ -172,15 +173,11 @@ struct ServerConfig
      */
     attack::CampaignEngine *campaign = nullptr;
     /** Shard id this server reports on the campaign's outcome
-     *  channel (the fleet sets it; 0 for a lone server). */
+     *  channel (the fleet sets it; 0 for a lone server). A lone
+     *  server commits the campaign's rounds itself; a shard never
+     *  does — the fleet commits once per fleet round, in shard-index
+     *  order, the invariance root under permuteShardStep. */
     uint32_t campaignShard = 0;
-    /**
-     * Whether this server owns the campaign's per-round commit. True
-     * for a lone server; the fleet clears it on its shards and
-     * commits once per fleet round itself, in shard-index order —
-     * the invariance root under permuteShardStep.
-     */
-    bool campaignCommits = true;
 };
 
 /** Latency distribution in scheduler rounds. */

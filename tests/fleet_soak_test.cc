@@ -17,7 +17,7 @@
 #include <cstdio>
 
 #include "compiler/compile.hh"
-#include "replay/fleet_replay.hh"
+#include "replay/record_replay.hh"
 #include "support/parallel.hh"
 #include "workloads/workloads.hh"
 

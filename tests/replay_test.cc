@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the record/replay subsystem: journal round trips,
- * bit-exact replay (full and windowed), the typed rejection of
- * damaged journals, guest-process checkpoint round trips across
- * every workload/ISA/seed combination, and the TCP introspection
- * server's line protocol.
+ * bit-exact replay (full and windowed) of server and fleet runs, the
+ * typed rejection of damaged journals, the checked-in journal
+ * fixtures that pin the wire format, guest-process checkpoint round
+ * trips across every workload/ISA/seed combination, and the TCP
+ * introspection server's line protocol.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -75,18 +77,53 @@ chaosConfig()
     return cfg;
 }
 
+/** Two-shard fleet under faults, attacks and a scripted RISC outage:
+ *  small enough for the smoke tier, busy enough that both shards fire
+ *  faults and outages and draw coins. */
+FleetConfig
+smallFleetConfig()
+{
+    FleetConfig cfg;
+    cfg.shards = 2;
+    cfg.requestCount = 120;
+    cfg.sessions = 16;
+    cfg.batchSize = 8;
+    cfg.mix.attackFrac = 0.05;
+    cfg.mix.malformedFrac = 0.05;
+    cfg.server.workers = 3;
+    cfg.server.hipstr.diversificationProbability = 0.5;
+    cfg.server.watchdogQuanta = 3;
+    cfg.server.sched.supervisor.backoffBaseRounds = 2;
+    cfg.server.faults.enabled = true;
+    cfg.server.faults.quantumFaultRate = 0.02;
+    cfg.server.faults.coreFailRate = 0.01;
+    cfg.server.faults.scriptedOutageIsa = IsaKind::Risc;
+    cfg.server.faults.scriptedOutageRound = 10;
+    cfg.server.faults.scriptedOutageRounds = 5;
+    return cfg;
+}
+
 std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
 }
 
+/** A checked-in journal under tests/fixtures/journals. */
+std::string
+fixturePath(const std::string &name)
+{
+    return std::string(HIPSTR_FIXTURE_DIR) + "/journals/" + name;
+}
+
 std::vector<uint8_t>
 slurp(const std::string &path)
 {
-    FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
     std::vector<uint8_t> bytes;
+    FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << "cannot open " << path;
+    if (f == nullptr)
+        return bytes;
     uint8_t buf[65536];
     size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
@@ -105,35 +142,84 @@ spit(const std::string &path, const std::vector<uint8_t> &bytes)
     std::fclose(f);
 }
 
-/** Byte offset of the first record with @p tag (after the header),
- *  or SIZE_MAX. */
+/** Length of the record at @p off (its payload, not the 5-byte
+ *  tag/length head). */
+uint32_t
+recordLen(const std::vector<uint8_t> &bytes, size_t off)
+{
+    return uint32_t(bytes[off + 1]) | (uint32_t(bytes[off + 2]) << 8) |
+        (uint32_t(bytes[off + 3]) << 16) |
+        (uint32_t(bytes[off + 4]) << 24);
+}
+
+/** Byte offsets of every record with @p tag (after the header). */
+std::vector<size_t>
+recordOffsets(const std::vector<uint8_t> &bytes, RecordTag tag)
+{
+    std::vector<size_t> offs;
+    size_t off = 8 + 4 + 8; // magic, version, configHash
+    while (off + 5 <= bytes.size()) {
+        if (bytes[off] == static_cast<uint8_t>(tag))
+            offs.push_back(off);
+        off += 5 + recordLen(bytes, off);
+    }
+    return offs;
+}
+
+/** Byte offset of the first record with @p tag, or SIZE_MAX. */
 size_t
 findRecord(const std::vector<uint8_t> &bytes, RecordTag tag)
 {
-    size_t off = 8 + 4 + 8; // magic, version, configHash
-    while (off + 5 <= bytes.size()) {
-        uint8_t t = bytes[off];
-        uint32_t len = uint32_t(bytes[off + 1]) |
-            (uint32_t(bytes[off + 2]) << 8) |
-            (uint32_t(bytes[off + 3]) << 16) |
-            (uint32_t(bytes[off + 4]) << 24);
-        if (t == static_cast<uint8_t>(tag))
-            return off;
-        off += 5 + len;
+    std::vector<size_t> offs = recordOffsets(bytes, tag);
+    return offs.empty() ? SIZE_MAX : offs.front();
+}
+
+/** @p bytes without its last Coin record: the worker that drew that
+ *  flip runs out of recorded coins on replay. */
+std::vector<uint8_t>
+dropLastCoin(const std::vector<uint8_t> &bytes)
+{
+    std::vector<size_t> coins = recordOffsets(bytes, RecordTag::Coin);
+    EXPECT_FALSE(coins.empty()) << "journal drew no coins";
+    if (coins.empty())
+        return bytes;
+    size_t off = coins.back();
+    std::vector<uint8_t> out = bytes;
+    out.erase(out.begin() + off,
+              out.begin() + off + 5 + recordLen(bytes, off));
+    return out;
+}
+
+/** The ReplayError @p fn throws (an Io error if it throws none). */
+ReplayError
+replayErrorOf(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const ReplayError &e) {
+        return e;
     }
-    return SIZE_MAX;
+    ADD_FAILURE() << "expected a ReplayError";
+    return ReplayError(ReplayErrc::Io, "none thrown");
+}
+
+/** First byte offset where @p a and @p b differ (the shorter length
+ *  if one is a prefix of the other), or SIZE_MAX if equal. */
+size_t
+firstDiff(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
+{
+    size_t n = std::min(a.size(), b.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (a[i] != b[i])
+            return i;
+    }
+    return a.size() == b.size() ? SIZE_MAX : n;
 }
 
 ReplayErrc
 replayErrcOf(const std::function<void()> &fn)
 {
-    try {
-        fn();
-    } catch (const ReplayError &e) {
-        return e.code();
-    }
-    ADD_FAILURE() << "expected a ReplayError";
-    return ReplayErrc::Io;
+    return replayErrorOf(fn).code();
 }
 
 } // namespace
@@ -272,6 +358,132 @@ TEST(Replay, DamagedJournalsRejectedWithTypedErrors)
                   }),
                   ReplayErrc::Divergence);
     }
+    // One Coin record missing: a worker runs out of recorded flips.
+    {
+        std::string badPath = tempPath("replay_damage_coin.hjl");
+        spit(badPath, dropLastCoin(good));
+        ReplayError e = replayErrorOf([&] {
+            replayRun(httpdBin(), cfg, badPath);
+        });
+        EXPECT_EQ(e.code(), ReplayErrc::Divergence);
+        EXPECT_NE(std::string(e.what()).find(
+                      "drew more coins than were recorded"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// A small fleet records and replays bit-exactly, and its journal
+// fails fast with typed errors when damaged or replayed against the
+// wrong kind of run.
+TEST(Replay, FleetRecordReplayAndDamagedJournals)
+{
+    FleetConfig cfg = smallFleetConfig();
+    cfg.server.faults.enabled = false;
+    std::string path = tempPath("replay_fleet.hjl");
+    FleetRecordResult rec = recordFleetRun(httpdBin(), cfg, path);
+    EXPECT_EQ(rec.report.requestsServed, cfg.requestCount);
+    EXPECT_EQ(rec.requestsDrawn, cfg.requestCount);
+
+    FleetReplayResult rep = replayFleetRun(httpdBin(), cfg, path);
+    EXPECT_EQ(rep.report.signature, rec.report.signature);
+    EXPECT_EQ(rep.report.outcomeSetSignature,
+              rec.report.outcomeSetSignature);
+    EXPECT_EQ(rep.report.rounds, rec.report.rounds);
+    EXPECT_EQ(rep.syncChecks, rec.rounds);
+    std::vector<uint8_t> good = slurp(path);
+
+    // A server journal is not a fleet journal.
+    {
+        std::string serverPath = tempPath("replay_fleet_server.hjl");
+        recordRun(httpdBin(), smallConfig(), serverPath);
+        EXPECT_EQ(replayErrcOf([&] {
+                      replayFleetRun(httpdBin(), cfg, serverPath);
+                  }),
+                  ReplayErrc::ConfigMismatch);
+    }
+    // A flipped fleet sync signature diverges on replay.
+    {
+        std::vector<uint8_t> bad = good;
+        size_t off = findRecord(bad, RecordTag::Sync);
+        ASSERT_NE(off, SIZE_MAX);
+        bad[off + 5 + 8] ^= 0x01; // first byte of the signature
+        std::string badPath = tempPath("replay_fleet_sync.hjl");
+        spit(badPath, bad);
+        EXPECT_EQ(replayErrcOf([&] {
+                      replayFleetRun(httpdBin(), cfg, badPath);
+                  }),
+                  ReplayErrc::Divergence);
+    }
+    // One Coin record missing: a shard worker runs out of flips.
+    {
+        std::string badPath = tempPath("replay_fleet_coin.hjl");
+        spit(badPath, dropLastCoin(good));
+        ReplayError e = replayErrorOf([&] {
+            replayFleetRun(httpdBin(), cfg, badPath);
+        });
+        EXPECT_EQ(e.code(), ReplayErrc::Divergence);
+        EXPECT_NE(std::string(e.what()).find(
+                      "drew more coins than were recorded"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// The checked-in journals pin the wire format. Each replays
+// bit-exactly, and re-recording its configuration reproduces it byte
+// for byte: record order, pid/core rebasing and the config hash.
+TEST(Replay, ServerJournalFixtureReplaysAndReRecords)
+{
+    ServerConfig cfg = chaosConfig();
+    RecordOptions opts;
+    opts.checkpointEveryRounds = 0;
+    std::string path = tempPath("fixture_server_chaos.hjl");
+    recordRun(httpdBin(), cfg, path, nullptr, opts);
+
+    const std::string fixture = fixturePath("server_chaos.hjl");
+    std::vector<uint8_t> fresh = slurp(path);
+    std::vector<uint8_t> pinned = slurp(fixture);
+    EXPECT_TRUE(fresh == pinned)
+        << "re-recorded journal differs from " << fixture
+        << " at byte " << firstDiff(fresh, pinned);
+
+    ReplayResult rep = replayRun(httpdBin(), cfg, fixture);
+    Journal j = parseJournal(fixture);
+    EXPECT_EQ(rep.report.signature, j.endSignature);
+    EXPECT_EQ(rep.syncChecks, j.endRounds);
+    EXPECT_FALSE(j.faults.empty());
+    EXPECT_FALSE(j.outages.empty());
+}
+
+TEST(Replay, FleetJournalFixtureReplaysAndReRecords)
+{
+    FleetConfig cfg = smallFleetConfig();
+    std::string path = tempPath("fixture_fleet_faults.hjl");
+    recordFleetRun(httpdBin(), cfg, path);
+
+    const std::string fixture = fixturePath("fleet_faults.hjl");
+    std::vector<uint8_t> fresh = slurp(path);
+    std::vector<uint8_t> pinned = slurp(fixture);
+    EXPECT_TRUE(fresh == pinned)
+        << "re-recorded journal differs from " << fixture
+        << " at byte " << firstDiff(fresh, pinned);
+
+    FleetReplayResult rep = replayFleetRun(httpdBin(), cfg, fixture);
+    Journal j = parseJournal(fixture);
+    EXPECT_EQ(rep.report.signature, j.endSignature);
+    EXPECT_EQ(rep.syncChecks, j.endRounds);
+    // Shard 1's firings carry rebased global ids.
+    const uint32_t W = cfg.server.workers;
+    const uint32_t C =
+        cfg.server.cmp.riscCores + cfg.server.cmp.ciscCores;
+    bool shard1Fault = false, shard1Outage = false;
+    for (const auto &kv : j.faults)
+        shard1Fault = shard1Fault || kv.first.first >= W;
+    for (const auto &kv : j.outages)
+        shard1Outage = shard1Outage || kv.first.first >= C;
+    EXPECT_TRUE(shard1Fault);
+    EXPECT_TRUE(shard1Outage);
 }
 
 // Checkpoint round-trip property: for every workload, both start
