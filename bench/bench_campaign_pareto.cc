@@ -28,8 +28,6 @@
  * _host file.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 #include <vector>
@@ -353,26 +351,6 @@ runCampaignPareto()
               << " (lower = attacker wins sooner); journaled hostile "
                  "run replayed bit-exactly\n";
 }
-
-/** Belief-update hot path: exclusion learning plus posterior fold. */
-void
-BM_BeliefProbeResult(benchmark::State &state)
-{
-    attack::BeliefState belief(64, 1.0);
-    uint64_t round = 0, acc = 0;
-    for (auto _ : state) {
-        uint32_t g = belief.nextGuess(0, 0);
-        belief.noteProbeResult(0, 0, g, IsaKind::Risc, round,
-                               (round & 3) != 0, IsaKind::Cisc);
-        if ((++round & 127) == 0)
-            belief.noteCrash(0, 0, round);
-        acc += g;
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_BeliefProbeResult);
 
 } // namespace
 

@@ -17,14 +17,11 @@
  * mean_rounds_to_recover present.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "fault/plan.hh"
 #include "server/protected_server.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -166,34 +163,6 @@ runFaultTolerance()
                  "chaos plan; every run crosses a full single-ISA "
                  "blackout and returns to dual-ISA protection)\n";
 }
-
-/** Cost of consulting the fault plan itself — the per-quantum price
- *  every scheduled guest pays once faults are enabled. */
-void
-BM_FaultPlanQuery(benchmark::State &state)
-{
-    FaultPlanConfig cfg;
-    cfg.enabled = true;
-    cfg.quantumFaultRate = 0.01;
-    cfg.coreFailRate = 0.002;
-    FaultPlan plan(cfg);
-    uint64_t serial = 0, scheduled = 0;
-    for (auto _ : state) {
-        ++serial;
-        QuantumFault f = plan.quantumFault(
-            uint32_t(serial % 32), serial);
-        scheduled += f.kind != FaultKind::None;
-        scheduled += plan.coreOutageAt(unsigned(serial % 4),
-                                       serial & 1 ? IsaKind::Risc
-                                                  : IsaKind::Cisc,
-                                       serial)
-                     != 0;
-    }
-    benchmark::DoNotOptimize(scheduled);
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_FaultPlanQuery);
 
 } // namespace
 

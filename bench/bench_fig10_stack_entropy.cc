@@ -8,8 +8,6 @@
  * touch the cache.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -66,27 +64,6 @@ runFigure10()
     std::cout << "S8 -> S64 drop: " << formatPercent(drop)
               << "   (paper: 2.96%)\n";
 }
-
-void
-BM_RelocationMapGeneration(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("milc", 1);
-    PsrConfig cfg;
-    cfg.randSpaceBytes = 64 << 10;
-    uint64_t seed = 0;
-    for (auto _ : state) {
-        PsrConfig c = cfg;
-        c.seed = ++seed;
-        Randomizer rand(bin, IsaKind::Cisc, c);
-        for (uint32_t f = 0; f < bin.funcsFor(IsaKind::Cisc).size();
-             ++f) {
-            benchmark::DoNotOptimize(rand.mapFor(f));
-        }
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_RelocationMapGeneration);
 
 } // namespace
 

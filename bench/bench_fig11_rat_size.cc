@@ -8,12 +8,9 @@
  * RAT rarely misses.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
-#include "sim/rat.hh"
 #include "support/stats.hh"
 
 using namespace hipstr;
@@ -70,24 +67,6 @@ runFigure11()
     std::cout << "(overhead relative to a 2048-entry RAT; paper: "
                  "0.37% at 32 entries, ~0 from 512 up)\n";
 }
-
-void
-BM_RatLookup(benchmark::State &state)
-{
-    ReturnAddressTable rat(512);
-    for (Addr a = 0; a < 400; ++a)
-        rat.insert(0x400000 + a * 16, 0x1400000 + a * 64);
-    Addr a = 0;
-    for (auto _ : state) {
-        Addr out;
-        benchmark::DoNotOptimize(
-            rat.lookup(0x400000 + (a % 400) * 16, out));
-        ++a;
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_RatLookup);
 
 } // namespace
 

@@ -9,8 +9,6 @@
  * ARM-like core, a 0.32% baseline overhead.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -102,25 +100,6 @@ runFigure12()
                  "asymmetry follows the destination core's "
                  "frequency)\n";
 }
-
-void
-BM_ForcedMigration(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("hmmer", 2);
-    for (auto _ : state) {
-        Memory mem;
-        loadFatBinary(bin, mem);
-        GuestOs os;
-        HipstrConfig cfg;
-        HipstrRuntime rt(bin, mem, os, cfg);
-        rt.reset();
-        (void)rt.vm(rt.currentIsa()).run(20'000);
-        benchmark::DoNotOptimize(rt.forceMigration());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_ForcedMigration);
 
 } // namespace
 

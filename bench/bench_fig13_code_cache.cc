@@ -10,8 +10,6 @@
  * translated working set fits — is the result).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -154,25 +152,6 @@ runFigure13()
     }
     ov.print(std::cout);
 }
-
-void
-BM_CodeCacheInsertLookup(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("mcf", 1);
-    Memory mem;
-    loadFatBinary(bin, mem);
-    GuestOs os;
-    PsrConfig cfg;
-    PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
-    vm.reset();
-    (void)vm.run(1'000'000'000);
-    const FuncInfo &fi = bin.funcInfo(IsaKind::Cisc, 0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(vm.codeCache().lookup(fi.entry));
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_CodeCacheInsertLookup);
 
 } // namespace
 

@@ -10,8 +10,6 @@
  * average of 15.6%.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -100,32 +98,6 @@ runFigure14()
               << formatPercent(big_rel / iso_rel - 1.0)
               << " faster   (paper: 15.6%)\n";
 }
-
-void
-BM_IsomeronExecution(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("lbm", 1);
-    Memory mem;
-    loadFatBinary(bin, mem);
-    GuestOs os;
-    PsrConfig cfg = PsrConfig::isomeron();
-    PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
-    vm.reset();
-    (void)vm.run(50'000);
-    uint64_t executed = 0;
-    for (auto _ : state) {
-        uint64_t before = vm.stats.guestInsts;
-        auto r = vm.run(20'000);
-        executed += vm.stats.guestInsts - before;
-        if (r.reason != VmStop::StepLimit) {
-            os.reset();
-            vm.reset();
-        }
-    }
-    state.SetItemsProcessed(int64_t(executed));
-}
-
-BENCHMARK(BM_IsomeronExecution);
 
 } // namespace
 

@@ -8,8 +8,6 @@
  * of the attack surface.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -68,26 +66,6 @@ runFigure3()
               << formatPercent(sum_frac / double(names.size()))
               << "   (paper: 98.04%)\n";
 }
-
-void
-BM_GadgetEvaluation(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("mcf", 1);
-    Memory mem;
-    loadFatBinary(bin, mem);
-    auto gadgets = scanBinary(bin, IsaKind::Cisc);
-    PsrConfig cfg;
-    PsrGadgetEvaluator eval(bin, mem, IsaKind::Cisc, cfg, 3);
-    size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            eval.evaluate(gadgets[i % gadgets.size()]));
-        ++i;
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_GadgetEvaluation);
 
 } // namespace
 

@@ -7,8 +7,6 @@
  * paper reports an average of 15.83% surviving.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -66,17 +64,6 @@ runFigure4()
               << formatPercent(sum_frac / double(names.size()))
               << "   (paper: 15.83%)\n";
 }
-
-void
-BM_GalileoScan(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("httpd", 1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(scanBinary(bin, IsaKind::Cisc));
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_GalileoScan);
 
 } // namespace
 

@@ -11,8 +11,6 @@
  * code-cache-miss migration trigger).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "attack/jitrop.hh"
@@ -86,27 +84,6 @@ runFigure5()
               << (hipstr_total / names.size())
               << "   (paper: 294 -> 27 on SPEC-scale binaries)\n";
 }
-
-void
-BM_JitRopAnalysis(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("httpd", 1);
-    Memory mem;
-    loadFatBinary(bin, mem);
-    PsrConfig cfg;
-    GadgetStudy study = studyGadgets(bin, IsaKind::Cisc, cfg);
-    GuestOs os;
-    PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
-    vm.reset();
-    (void)vm.run(1'000'000'000);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analyzeJitRop(vm, study.gadgets, study.verdicts));
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_JitRopAnalysis);
 
 } // namespace
 

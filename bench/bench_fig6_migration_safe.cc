@@ -7,8 +7,6 @@
  * on-demand extension (paper: ~78% in each direction).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -73,19 +71,6 @@ runFigure6()
               << formatPercent(od_sum / double(names.size()))
               << "   (paper: 45% -> 78%)\n";
 }
-
-void
-BM_SafetyAnalysis(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("gobmk", 1);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analyzeMigrationSafety(bin, IsaKind::Cisc));
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_SafetyAnalysis);
 
 } // namespace
 

@@ -9,8 +9,6 @@
  * immediately.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -75,16 +73,6 @@ runFigure7()
                  "states — one brute-force success per 256 attempts, "
                  "the paper's example.)\n";
 }
-
-void
-BM_EntropyModel(benchmark::State &state)
-{
-    for (auto _ : state)
-        benchmark::DoNotOptimize(entropyComparison(87.0));
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_EntropyModel);
 
 } // namespace
 

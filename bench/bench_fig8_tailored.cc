@@ -12,8 +12,6 @@
  * handful of gadgets or none.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "attack/jitrop.hh"
@@ -115,23 +113,6 @@ runFigure8()
     }
     table.print(std::cout);
 }
-
-void
-BM_InvarianceMeasurement(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("lbm", 1);
-    Memory mem;
-    loadFatBinary(bin, mem);
-    PsrConfig cfg;
-    GadgetStudy study = studyGadgets(bin, IsaKind::Cisc, cfg);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(measureInvariance(
-            bin, mem, study.gadgets, study.verdicts));
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_InvarianceMeasurement);
 
 } // namespace
 

@@ -10,8 +10,6 @@
  * it by default).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <iostream>
 
@@ -201,32 +199,6 @@ runFigure9()
 
     checkTelemetryZeroCost();
 }
-
-void
-BM_SteadyStatePsrExecution(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("hmmer", 1);
-    Memory mem;
-    loadFatBinary(bin, mem);
-    GuestOs os;
-    PsrConfig cfg;
-    PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
-    vm.reset();
-    (void)vm.run(50'000); // warm the code cache
-    uint64_t executed = 0;
-    for (auto _ : state) {
-        uint64_t before = vm.stats.guestInsts;
-        auto r = vm.run(20'000);
-        executed += vm.stats.guestInsts - before;
-        if (r.reason != VmStop::StepLimit) {
-            os.reset();
-            vm.reset();
-        }
-    }
-    state.SetItemsProcessed(int64_t(executed));
-}
-
-BENCHMARK(BM_SteadyStatePsrExecution);
 
 } // namespace
 

@@ -25,8 +25,6 @@
  * availability keys); wall-clock lands in the _host file.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -206,24 +204,6 @@ runFleetServing()
               << " respawns, " << hr.quarantines
               << " quarantines absorbed by the fleet)\n";
 }
-
-/** Balancer hot path: session hash + consistent-hash ring lookup. */
-void
-BM_FleetRingLookup(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("httpd", 1);
-    FleetConfig cfg = baseConfig();
-    cfg.server.workers = 2;
-    cfg.server.faults.enabled = false;
-    ProtectedFleet fleet(bin, cfg);
-    uint64_t id = 0, acc = 0;
-    for (auto _ : state)
-        acc += fleet.shardOf(fleet.sessionOf(id++));
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_FleetRingLookup);
 
 } // namespace
 

@@ -7,14 +7,11 @@
  * attempts, 84 JIT-ROP-viable, 2 surviving migration.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "attack/brute_force.hh"
 #include "attack/jitrop.hh"
 #include "bench_util.hh"
-#include "server/guest_process.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 
@@ -94,30 +91,6 @@ runCaseStudy()
               << " (paper: insufficient even for the simplest "
                  "shellcode)\n";
 }
-
-void
-BM_HttpdUnderPsr(benchmark::State &state)
-{
-    // The server-shaped variant of the old raw-VM loop: one worker
-    // process under the full dual-ISA runtime, timesliced the way the
-    // CMP scheduler timeslices it, restarting transparently whenever
-    // the daemon finishes a program run.
-    const FatBinary &bin = compiledWorkload("httpd", 1);
-    GuestProcessConfig cfg;
-    GuestProcess proc(bin, cfg);
-    uint64_t executed = 0;
-    for (auto _ : state) {
-        if (proc.state() == ProcState::Blocked)
-            proc.beginService(uint64_t(1) << 32);
-        QuantumResult q = proc.runQuantum(10'000);
-        executed += q.ran;
-        if (proc.state() == ProcState::Crashed)
-            proc.respawn();
-    }
-    state.SetItemsProcessed(int64_t(executed));
-}
-
-BENCHMARK(BM_HttpdUnderPsr);
 
 } // namespace
 

@@ -18,8 +18,6 @@
  * byte-identical for every HIPSTR_JOBS value.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -155,29 +153,6 @@ runRecordReplay()
 
     std::remove(path.c_str());
 }
-
-/** Journal parse cost: the fixed price of opening a recording before
- *  any replay work starts. */
-void
-BM_JournalParse(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("httpd", 1);
-    ServerConfig cfg = recordConfig();
-    cfg.workers = 4;
-    cfg.requestCount = 100;
-    const std::string path = "BENCH_record_replay.parse.tmp";
-    recordRun(bin, cfg, path);
-    uint64_t rounds = 0;
-    for (auto _ : state) {
-        Journal j = parseJournal(path);
-        rounds += j.rounds.size();
-    }
-    benchmark::DoNotOptimize(rounds);
-    state.SetItemsProcessed(int64_t(state.iterations()));
-    std::remove(path.c_str());
-}
-
-BENCHMARK(BM_JournalParse);
 
 } // namespace
 

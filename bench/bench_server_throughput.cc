@@ -17,8 +17,6 @@
  * goes to the separate _host file.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hh"
@@ -177,34 +175,6 @@ runThroughput()
     recordMix("clean", clean, cr);
     recordMix("attack", attack, ar);
 }
-
-void
-BM_ServerRound(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("httpd", 1);
-    ServerConfig cfg;
-    cfg.workers = 8;
-    cfg.requestCount = 1; // stream unused; we drive workers directly
-    cfg.verifyOutput = false;
-    ProtectedServer server(bin, cfg);
-
-    // Steady state: every worker permanently busy.
-    CmpScheduler sched(server.cmp(), cfg.sched);
-    for (const auto &w : server.workers()) {
-        w->beginService(uint64_t(1) << 62);
-        sched.notifyReady(w.get());
-    }
-    // The scheduler requeues Ready processes and respawns crashes
-    // itself; with an effectively infinite budget the pool never
-    // drains, so each iteration is one fully loaded round.
-    uint64_t quanta = 0;
-    for (auto _ : state)
-        quanta += sched.round();
-    state.SetItemsProcessed(
-        int64_t(quanta * cfg.sched.quantumInsts));
-}
-
-BENCHMARK(BM_ServerRound);
 
 } // namespace
 

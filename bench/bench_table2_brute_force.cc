@@ -11,8 +11,6 @@
  * while remaining computationally infeasible.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "attack/brute_force.hh"
@@ -71,22 +69,6 @@ runTable2()
     std::cout << "(paper: ~6.5-6.9 params, 84-90 bits, ~1e33-1e34 "
                  "attempts on SPEC-scale binaries)\n";
 }
-
-void
-BM_BruteForceSimulation(benchmark::State &state)
-{
-    const FatBinary &bin = compiledWorkload("bzip2", 1);
-    PsrConfig cfg;
-    GadgetStudy study = studyGadgets(bin, IsaKind::Cisc, cfg);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(simulateBruteForce(
-            study.gadgets, study.verdicts, cfg.randSpaceBytes,
-            false));
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-
-BENCHMARK(BM_BruteForceSimulation);
 
 } // namespace
 

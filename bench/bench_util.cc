@@ -1,11 +1,10 @@
 #include "bench_util.hh"
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,6 +80,12 @@ int
 benchMain(int argc, char **argv, const std::string &name,
           const std::function<void()> &figure)
 {
+    if (argc > 1) {
+        std::cerr << "usage: " << argv[0]
+                  << " (takes no arguments; for host timings run "
+                     "python3 perfbench/run.py)\n";
+        return 2;
+    }
     using clock = std::chrono::steady_clock;
     benchMetrics().reset();
     auto t0 = clock::now();
@@ -117,11 +122,6 @@ benchMain(int argc, char **argv, const std::string &name,
         }
         host << "\n}\n";
     }
-
-    if (benchOptions().smoke)
-        return 0; // figure sweep only; skip the micro section
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }
 

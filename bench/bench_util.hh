@@ -31,7 +31,7 @@ namespace hipstr::bench
  *
  *  - HIPSTR_BENCH_SMOKE=1 shrinks workload scale/trial counts to a
  *    size where every harness finishes in seconds (the bench_smoke
- *    CTest tier), and skips the google-benchmark micro section.
+ *    CTest tier).
  *  - HIPSTR_JOBS caps the experiment engine's thread count (see
  *    support/parallel.hh); the resolved value is recorded in the
  *    per-bench JSON summary.
@@ -83,9 +83,9 @@ void benchHostMetric(const std::string &key, double value);
  *  - BENCH_<name>_host.json — jobs, figure wall seconds, and any
  *    benchHostMetric() values; run-to-run variable by nature.
  *
- * Finally hands the remaining arguments to google-benchmark for the
- * micro section (skipped in smoke mode). Returns the process exit
- * code.
+ * A harness takes no arguments: given any, it prints one usage line
+ * (naming perfbench/run.py, the repo's host-time instrument) and
+ * returns 2 without running the sweep. Returns the process exit code.
  */
 int benchMain(int argc, char **argv, const std::string &name,
               const std::function<void()> &figure);

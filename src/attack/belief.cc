@@ -2,24 +2,12 @@
 
 #include <vector>
 
+#include "support/fnv.hh"
+
 namespace hipstr
 {
 namespace attack
 {
-
-namespace
-{
-
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
-
-} // namespace
 
 BeliefState::BeliefState(uint32_t secretSpace, double migrationProb)
     : _space(secretSpace == 0 ? 1 : secretSpace),
@@ -182,24 +170,24 @@ BeliefState::mostExcludedWorker(uint32_t shard) const
 uint64_t
 BeliefState::signature() const
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    fold64(h, _space);
+    uint64_t h = kFnvOffsetBasis;
+    fnvFold64(h, _space);
     for (const auto &kv : _targets) {
         const TargetBelief &b = kv.second;
-        fold64(h, kv.first.shard);
-        fold64(h, kv.first.pid);
-        fold64(h, uint64_t(b.pRisc * 1024));
-        fold64(h, b.crashEpoch);
-        fold64(h, b.respawnGapRounds);
-        fold64(h, b.excluded.size());
+        fnvFold64(h, kv.first.shard);
+        fnvFold64(h, kv.first.pid);
+        fnvFold64(h, uint64_t(b.pRisc * 1024));
+        fnvFold64(h, b.crashEpoch);
+        fnvFold64(h, b.respawnGapRounds);
+        fnvFold64(h, b.excluded.size());
         for (uint32_t g : b.excluded)
-            fold64(h, g);
-        fold64(h, b.probesServed);
+            fnvFold64(h, g);
+        fnvFold64(h, b.probesServed);
     }
-    fold64(h, _stats.exclusionsLearned);
-    fold64(h, _stats.epochResets);
-    fold64(h, _stats.isaLeaksSeen);
-    fold64(h, _stats.sweepRestarts);
+    fnvFold64(h, _stats.exclusionsLearned);
+    fnvFold64(h, _stats.epochResets);
+    fnvFold64(h, _stats.isaLeaksSeen);
+    fnvFold64(h, _stats.sweepRestarts);
     return h;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/fnv.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -19,15 +20,6 @@ uint64_t
 mix64(uint64_t v)
 {
     return splitMix64(v);
-}
-
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
 }
 
 } // namespace
@@ -253,11 +245,11 @@ CampaignEngine::processEvent(const ProbeEvent &ev, uint64_t round)
     if (it == _probes.end())
         return; // not ours: clean traffic or a pre-campaign request
 
-    fold64(_sig, ev.id);
-    fold64(_sig, static_cast<uint64_t>(ev.signal));
-    fold64(_sig, ev.shard);
-    fold64(_sig, ev.worker);
-    fold64(_sig, ev.latencyRounds);
+    fnvFold64(_sig, ev.id);
+    fnvFold64(_sig, static_cast<uint64_t>(ev.signal));
+    fnvFold64(_sig, ev.shard);
+    fnvFold64(_sig, ev.worker);
+    fnvFold64(_sig, ev.latencyRounds);
 
     ProbeMeta m = it->second;
     const bool adaptive = _cfg.strategy != CampaignStrategy::OneShot;
@@ -297,7 +289,7 @@ CampaignEngine::processEvent(const ProbeEvent &ev, uint64_t round)
                     _report.firstCompromiseProbe = _report.probesSent;
                     _report.firstCompromiseRound = round;
                 }
-                fold64(_sig, 0xc0117a9edull);
+                fnvFold64(_sig, 0xc0117a9edull);
                 if (_cfg.trace != nullptr &&
                     _cfg.trace->enabled(
                         telemetry::TraceCategory::Attack)) {
@@ -329,7 +321,7 @@ CampaignEngine::report() const
     CampaignReport r = _report;
     r.belief = _belief.stats();
     uint64_t sig = _sig;
-    fold64(sig, _belief.signature());
+    fnvFold64(sig, _belief.signature());
     r.signature = sig;
     return r;
 }

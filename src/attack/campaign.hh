@@ -45,6 +45,7 @@
 
 #include "attack/belief.hh"
 #include "server/request_stream.hh"
+#include "support/fnv.hh"
 #include "support/random.hh"
 #include "telemetry/trace.hh"
 
@@ -232,7 +233,6 @@ class CampaignEngine
     uint32_t secretFor(uint32_t shard, uint32_t pid,
                        uint32_t gen) const;
 
-    bool compromised() const { return _report.compromises > 0; }
     uint64_t probesSent() const { return _report.probesSent; }
     const CampaignConfig &config() const { return _cfg; }
     const BeliefState &belief() const { return _belief; }
@@ -264,7 +264,7 @@ class CampaignEngine
     std::map<uint64_t, ProbeMeta> _probes; ///< in-flight, by id
     std::vector<std::vector<ProbeEvent>> _buffered; ///< per shard
     CampaignReport _report;
-    uint64_t _sig = 0xcbf29ce484222325ull;
+    uint64_t _sig = kFnvOffsetBasis;
     /** Isomeron pair state: the second path of a pending guess. @{ */
     bool _pairPending = false;
     uint32_t _pairGuess = 0;

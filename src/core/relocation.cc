@@ -21,12 +21,6 @@ Randomizer::Randomizer(const FatBinary &bin, IsaKind isa,
 }
 
 bool
-Randomizer::hasMap(uint32_t func_id) const
-{
-    return _maps.count(func_id) != 0;
-}
-
-bool
 Randomizer::usesDefaultConvention(uint32_t func_id) const
 {
     return !_cfg.randomizeCallingConvention ||

@@ -113,9 +113,6 @@ class Randomizer
     /** The map for @p func_id, generated on first request. */
     const RelocationMap &mapFor(uint32_t func_id);
 
-    /** True if a map has already been generated for @p func_id. */
-    bool hasMap(uint32_t func_id) const;
-
     /** Drop all maps and advance the seed (respawn re-randomization). */
     void reRandomize();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "attack/campaign.hh"
+#include "support/fnv.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -20,15 +21,6 @@ constexpr uint64_t kMaxFleetRounds = 10'000'000;
  *  keep round-exact percentiles even for backlogged open-loop runs
  *  (a 30k-request overload bench sees p99 in the thousands). */
 constexpr size_t kLatencyBins = 16384;
-
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
 
 /** Disposal markers folded into the run signature so event streams
  *  that differ only in kind cannot collide. */
@@ -94,7 +86,7 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
                                const FleetConfig &cfg)
     : _bin(bin), _cfg(cfg),
       _stream(cfg.seed, cfg.mix, cfg.costs),
-      _sig(0xcbf29ce484222325ull)
+      _sig(kFnvOffsetBasis)
 {
     hipstr_assert(cfg.shards > 0);
     hipstr_assert(cfg.sessions > 0);
@@ -187,21 +179,21 @@ ProtectedFleet::dispose(const Pending &p, uint32_t shard,
       case FleetOutcome::Served:
         ++_report.requestsServed;
         ++_report.servedByKind[static_cast<size_t>(p.req.kind)];
-        fold64(_sig, kSigServed);
+        fnvFold64(_sig, kSigServed);
         break;
       case FleetOutcome::ShedDeadline:
         ++_report.requestsShed;
-        fold64(_sig, kSigShed);
+        fnvFold64(_sig, kSigShed);
         break;
       case FleetOutcome::Abandoned:
         ++_report.requestsAbandoned;
-        fold64(_sig, kSigAbandoned);
+        fnvFold64(_sig, kSigAbandoned);
         break;
     }
-    fold64(_sig, p.req.id);
-    fold64(_sig, static_cast<uint64_t>(p.req.kind));
-    fold64(_sig, latency);
-    fold64(_sig, shard);
+    fnvFold64(_sig, p.req.id);
+    fnvFold64(_sig, static_cast<uint64_t>(p.req.kind));
+    fnvFold64(_sig, latency);
+    fnvFold64(_sig, shard);
 
     // Commutative witness over (id, session, kind, outcome): the
     // wrapping sum is order- and placement-independent, so a run
@@ -397,9 +389,9 @@ ProtectedFleet::finishShardFold(unsigned k)
         _inflight.erase(it);
         p.req = r; // retries already incremented by the shard
         ++_report.requestsRetried;
-        fold64(_sig, kSigRetry);
-        fold64(_sig, r.id);
-        fold64(_sig, k);
+        fnvFold64(_sig, kSigRetry);
+        fnvFold64(_sig, r.id);
+        fnvFold64(_sig, k);
         // Ahead of new arrivals: an already-aged request re-routes
         // (home shard, or a thief) before fresh traffic.
         _arrival.push_front(p);
@@ -418,16 +410,16 @@ ProtectedFleet::finishShardFold(unsigned k)
 uint64_t
 ProtectedFleet::roundSyncSignature() const
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    fold64(h, _roundNo);
-    fold64(h, _nextId);
-    fold64(h, _report.requestsServed);
-    fold64(h, _report.requestsShed);
-    fold64(h, _report.requestsAbandoned);
-    fold64(h, _arrival.size());
+    uint64_t h = kFnvOffsetBasis;
+    fnvFold64(h, _roundNo);
+    fnvFold64(h, _nextId);
+    fnvFold64(h, _report.requestsServed);
+    fnvFold64(h, _report.requestsShed);
+    fnvFold64(h, _report.requestsAbandoned);
+    fnvFold64(h, _arrival.size());
     for (unsigned k = 0; k < _cfg.shards; ++k) {
-        fold64(h, _queues[k].size());
-        fold64(h, _shards[k]->roundSyncSignature());
+        fnvFold64(h, _queues[k].size());
+        fnvFold64(h, _shards[k]->roundSyncSignature());
     }
     return h;
 }
@@ -599,13 +591,13 @@ ProtectedFleet::run(ThreadPool *pool)
         rep.retiredWorkers += sr.retiredWorkers;
         rep.quarantines += sr.quarantines;
         rep.faultsInjectedTotal += sr.faultsInjectedTotal;
-        fold64(sig, sr.signature);
+        fnvFold64(sig, sr.signature);
         rep.shardReports.push_back(std::move(sr));
     }
-    fold64(sig, rep.rounds);
-    fold64(sig, rep.requestsOffered);
-    fold64(sig, rep.steals);
-    fold64(sig, rep.backpressureStalls);
+    fnvFold64(sig, rep.rounds);
+    fnvFold64(sig, rep.requestsOffered);
+    fnvFold64(sig, rep.steals);
+    fnvFold64(sig, rep.backpressureStalls);
     rep.signature = sig;
     rep.outcomeSetSignature = _outcomeSetSig;
 

@@ -55,7 +55,6 @@ class IrBuilder
     void endFunction();
     uint32_t newBlock();
     void setBlock(uint32_t bb);
-    uint32_t currentBlock() const { return _curBlock; }
     ValueId param(unsigned i);
     ValueId newValue();
     uint32_t addFrameObject(const std::string &name, uint32_t size,

@@ -8,8 +8,7 @@ namespace hipstr
 void
 GuestOs::emit(uint8_t b)
 {
-    _outputHash ^= b;
-    _outputHash *= 0x100000001b3ull;
+    fnvByte(_outputHash, b);
     ++_totalOutputBytes;
     _output.push_back(b);
     // Amortized trim: let the buffer run to twice the cap, then drop
@@ -176,7 +175,7 @@ void
 GuestOs::reset()
 {
     _output.clear();
-    _outputHash = 0xcbf29ce484222325ull;
+    _outputHash = kFnvOffsetBasis;
     _totalOutputBytes = 0;
     _exited = false;
     _exitCode = 0;

@@ -13,6 +13,7 @@
 
 #include "isa/machine_state.hh"
 #include "isa/memory.hh"
+#include "support/fnv.hh"
 #include "support/serialize.hh"
 
 namespace hipstr
@@ -123,7 +124,7 @@ class GuestOs
     bool _redirected = false;
     std::vector<uint8_t> _output;
     size_t _outputCap = 0; ///< retained-bytes cap; 0 = unlimited
-    uint64_t _outputHash = 0xcbf29ce484222325ull; ///< FNV-1a running
+    uint64_t _outputHash = kFnvOffsetBasis; ///< FNV-1a running
     uint64_t _totalOutputBytes = 0;
     bool _exited = false;
     uint32_t _exitCode = 0;

@@ -61,12 +61,6 @@ isBlockTerminator(Op op)
     }
 }
 
-bool
-isIndirectTransfer(Op op)
-{
-    return op == Op::JmpInd || op == Op::CallInd || op == Op::Ret;
-}
-
 MachInst
 MachInst::nop()
 {

@@ -54,9 +54,6 @@ const char *opName(Op op);
 /** True for ops that end a basic block. */
 bool isBlockTerminator(Op op);
 
-/** True for control transfers whose target is not statically known. */
-bool isIndirectTransfer(Op op);
-
 /** An instruction operand. */
 struct Operand
 {
@@ -103,7 +100,6 @@ struct Operand
         return o;
     }
 
-    bool isNone() const { return kind == Kind::None; }
     bool isReg() const { return kind == Kind::Reg; }
     bool isImm() const { return kind == Kind::Imm; }
     bool isMem() const { return kind == Kind::Mem; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "support/env.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -306,18 +305,6 @@ MigrationEngine::migrate(PsrVm &from, PsrVm &to, Addr guest_pc)
                     return fail("complex frame pointer live");
                 value = value - f.spA + f.spB;
                 ++out.pointersRebased;
-            }
-            if (envFlag("HIPSTR_MIG_DEBUG", false)) {
-                const VregLoc &la = fiAf.vregLoc[v];
-                const FuncInfo &fb2 = _bin.funcInfo(isaB, f.funcId);
-                const VregLoc &lb = fb2.vregLoc[v];
-                fprintf(stderr,
-                        "  mig frame%zu %s v%u = 0x%x  A:%s%u B:%s%u\n",
-                        k, fiAf.name.c_str(), v, value,
-                        la.inReg ? "r" : "slot",
-                        la.inReg ? la.reg : la.slotOff,
-                        lb.inReg ? "r" : "slot",
-                        lb.inReg ? lb.reg : lb.slotOff);
             }
             pending_values.push_back(PendingValue{ k, v, value });
             ++out.valuesMoved;

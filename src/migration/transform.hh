@@ -86,8 +86,6 @@ class MigrationEngine
      */
     MigrationOutcome migrate(PsrVm &from, PsrVm &to, Addr guest_pc);
 
-    const MigrationCostModel &costModel() const { return _cost; }
-
   private:
     const FatBinary &_bin;
     Memory &_mem;

@@ -5,6 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "support/fnv.hh"
+
 namespace hipstr
 {
 namespace replay
@@ -16,11 +18,9 @@ namespace
 uint64_t
 fnv1a(const ByteWriter &w)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t b : w.data()) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
+    uint64_t h = kFnvOffsetBasis;
+    for (uint8_t b : w.data())
+        fnvByte(h, b);
     return h;
 }
 

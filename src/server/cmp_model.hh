@@ -53,12 +53,6 @@ class CmpModel
         return _count[static_cast<size_t>(isa)];
     }
 
-    /** Table 1 parameters of @p core. */
-    const CoreConfig &configOf(const CmpCore &core) const
-    {
-        return coreConfig(core.isa);
-    }
-
     /**
      * Modeled guest instructions per second of one @p isa core:
      * baseIpc * frequency. The server divides instruction counts by

@@ -7,6 +7,7 @@
 #include "binary/loader.hh"
 #include "isa/codec.hh"
 #include "migration/safety.hh"
+#include "support/fnv.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -307,27 +308,21 @@ uint64_t
 GuestProcess::statsSignature() const
 {
     GuestProcessStats s = stats();
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto fold = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    fold(_cfg.pid);
-    fold(s.guestInsts);
-    fold(s.guestInstsPerIsa[0]);
-    fold(s.guestInstsPerIsa[1]);
-    fold(s.quanta);
-    fold(s.migrations);
-    fold(s.migrationsDenied);
-    fold(s.crashes);
-    fold(s.respawns);
-    fold(s.programsCompleted);
-    fold(s.checksumMismatches);
-    fold(securityEvents());
-    fold(_os.outputChecksum());
-    fold(s.outputBytes);
+    uint64_t h = kFnvOffsetBasis;
+    fnvFold64(h, _cfg.pid);
+    fnvFold64(h, s.guestInsts);
+    fnvFold64(h, s.guestInstsPerIsa[0]);
+    fnvFold64(h, s.guestInstsPerIsa[1]);
+    fnvFold64(h, s.quanta);
+    fnvFold64(h, s.migrations);
+    fnvFold64(h, s.migrationsDenied);
+    fnvFold64(h, s.crashes);
+    fnvFold64(h, s.respawns);
+    fnvFold64(h, s.programsCompleted);
+    fnvFold64(h, s.checksumMismatches);
+    fnvFold64(h, securityEvents());
+    fnvFold64(h, _os.outputChecksum());
+    fnvFold64(h, s.outputBytes);
     return h;
 }
 

@@ -5,6 +5,7 @@
 #include "attack/campaign.hh"
 #include "binary/loader.hh"
 #include "isa/interp.hh"
+#include "support/fnv.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -16,15 +17,6 @@ namespace
 /** Safety valve against scheduling livelock; generous by orders of
  *  magnitude over any configured stream. */
 constexpr uint64_t kMaxRounds = 100'000'000;
-
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
 
 void
 saveRequest(ByteWriter &w, const Request &r)
@@ -307,10 +299,10 @@ ProtectedServer::stepRound(ThreadPool *pool)
             st.latencies.push_back(lat);
             ++st.report.requestsServed;
             ++st.report.servedByKind[static_cast<size_t>(r.kind)];
-            fold64(st.sig, r.id);
-            fold64(st.sig, static_cast<uint64_t>(r.kind));
-            fold64(st.sig, lat);
-            fold64(st.sig, static_cast<uint64_t>(w));
+            fnvFold64(st.sig, r.id);
+            fnvFold64(st.sig, static_cast<uint64_t>(r.kind));
+            fnvFold64(st.sig, lat);
+            fnvFold64(st.sig, static_cast<uint64_t>(w));
             if (traced) {
                 tr->record(
                     telemetry::traceSpan(
@@ -451,7 +443,7 @@ ProtectedServer::finishRun()
         report.transformAborts += s.transformAborts;
         report.migrationsSuppressed += s.migrationsSuppressed;
         report.emergencyRelocations += s.emergencyRelocations;
-        fold64(sig, proc->statsSignature());
+        fnvFold64(sig, proc->statsSignature());
     }
 
     if (faultPlan() != nullptr && _cfg.metrics != nullptr) {
@@ -574,12 +566,12 @@ ProtectedServer::liveWorkers() const
 uint64_t
 ProtectedServer::roundSyncSignature() const
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    fold64(h, _serve.roundNo);
-    fold64(h, _serve.done);
-    fold64(h, _serve.nextId);
+    uint64_t h = kFnvOffsetBasis;
+    fnvFold64(h, _serve.roundNo);
+    fnvFold64(h, _serve.done);
+    fnvFold64(h, _serve.nextId);
     for (const auto &proc : _workers)
-        fold64(h, proc->statsSignature());
+        fnvFold64(h, proc->statsSignature());
     return h;
 }
 

@@ -24,6 +24,7 @@
 #include "server/guest_process.hh"
 #include "server/request_stream.hh"
 #include "server/scheduler.hh"
+#include "support/fnv.hh"
 #include "support/serialize.hh"
 #include "telemetry/metrics.hh"
 
@@ -307,8 +308,6 @@ class ProtectedServer
     unsigned admissionCapacity() const;
     /** Workers not permanently retired. */
     unsigned liveWorkers() const;
-    /** Externally submitted requests not yet assigned to a worker. */
-    size_t queuedExternal() const { return _serve.requeue.size(); }
     /** @} */
 
     /**
@@ -382,7 +381,7 @@ class ProtectedServer
         std::deque<Request> requeue; ///< from retired workers
         uint64_t nextId = 0;
         std::vector<uint64_t> latencies;
-        uint64_t sig = 0xcbf29ce484222325ull;
+        uint64_t sig = kFnvOffsetBasis;
         uint64_t roundNo = 0;
         uint64_t done = 0;
         bool wasDegraded = false;

@@ -124,10 +124,6 @@ class TimingHarness
     }
 
     const CoreConfig &core() const { return _core; }
-    const CacheSim &icache() const { return _icache; }
-    const CacheSim &dcache() const { return _dcache; }
-    const RegCacheSim &regCache() const { return _l0; }
-    uint64_t tracedInsts() const { return _nativeInsts; }
 
     TimingParams params;
 

@@ -34,13 +34,6 @@ class DenseBitSet
     void set(size_t i) { _words[i / 64] |= (1ull << (i % 64)); }
     void clear(size_t i) { _words[i / 64] &= ~(1ull << (i % 64)); }
 
-    void
-    clearAll()
-    {
-        for (auto &w : _words)
-            w = 0;
-    }
-
     /** this |= other. @return true if this changed. */
     bool
     unionWith(const DenseBitSet &other)

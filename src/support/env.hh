@@ -12,7 +12,6 @@
  *                      on/off (envFlag; default on, auto-disabled
  *                      with a logged reason on non-x86-64 hosts and
  *                      under ASan/UBSan builds)
- *   HIPSTR_MIG_DEBUG   migration transform debug dump (envFlag)
  *   HIPSTR_BENCH_SMOKE bench smoke mode (envFlag)
  *   HIPSTR_RECORD      journal path to record a server run to
  *   HIPSTR_REPLAY      journal path to replay a server run from

@@ -45,7 +45,6 @@ class ExecArena
     bool init(size_t bytes);
 
     bool valid() const { return _base != nullptr; }
-    size_t capacity() const { return _cap; }
     size_t used() const { return _used; }
     uint64_t generation() const { return _gen; }
 

@@ -44,13 +44,6 @@ enum class Cc : uint8_t
     Le = 0xe, G = 0xf,
 };
 
-/** Invert a condition (taken <-> not taken). */
-inline Cc
-ccInvert(Cc c)
-{
-    return static_cast<Cc>(static_cast<uint8_t>(c) ^ 1);
-}
-
 /** [base + disp] or [base + index*1 + disp] memory operand. */
 struct Mem
 {
@@ -137,8 +130,6 @@ class Emitter
     void movRM64(uint8_t dst, const Mem &m) { rm(0x8b, dst, m, 1); }
     /** mov [mem], r32 */
     void movMR32(const Mem &m, uint8_t src) { rm(0x89, src, m, 0); }
-    /** mov [mem], r64 */
-    void movMR64(const Mem &m, uint8_t src) { rm(0x89, src, m, 1); }
     /** mov dword [mem], imm32 */
     void
     movMI32(const Mem &m, uint32_t imm)
@@ -188,8 +179,6 @@ class Emitter
     void aluRR32(uint8_t load, uint8_t dst, uint8_t src) { rr(load, dst, src, 0); }
     void aluRM32(uint8_t load, uint8_t dst, const Mem &m) { rm(load, dst, m, 0); }
     /** @} */
-    /** 32-bit ALU, "rm <- rm op reg" store direction (add 01, ...). */
-    void aluMR32(uint8_t store, const Mem &m, uint8_t src) { rm(store, src, m, 0); }
     /** 32-bit ALU with imm32: 81 /n (add 0, or 1, and 4, sub 5, xor 6, cmp 7). */
     void
     aluRI32(uint8_t n, uint8_t dst, uint32_t imm)
@@ -206,8 +195,6 @@ class Emitter
 
     /** test r32, r32 */
     void testRR32(uint8_t a, uint8_t b) { rr(0x85, b, a, 0); }
-    /** test r64, r64 */
-    void testRR64(uint8_t a, uint8_t b) { rr(0x85, b, a, 1); }
     /** test r32, imm32 */
     void
     testRI32(uint8_t r, uint32_t imm)

@@ -121,7 +121,6 @@ class TraceJit
 
     /** Arena occupancy, for tests. @{ */
     size_t arenaUsed() const { return _arena.used(); }
-    size_t arenaCapacity() const { return _arena.capacity(); }
     uint64_t arenaGeneration() const { return _arena.generation(); }
     /** @} */
 

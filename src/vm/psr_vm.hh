@@ -189,7 +189,6 @@ class PsrVm
      */
     void armDecodeFault() { _decodeFaultArmed = true; }
     void disarmDecodeFault() { _decodeFaultArmed = false; }
-    bool decodeFaultArmed() const { return _decodeFaultArmed; }
     /** @} */
 
     /**

@@ -18,6 +18,7 @@
 #include "isa/guest_os.hh"
 #include "isa/interp.hh"
 #include "isa/memory.hh"
+#include "support/fnv.hh"
 
 namespace hipstr::test
 {
@@ -65,11 +66,9 @@ compileAndRun(const IrModule &module, IsaKind isa,
 inline uint64_t
 dataChecksum(const Memory &mem)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (Addr a = layout::kGlobalsBase; a < layout::kStackLimit; ++a) {
-        h ^= mem.rawRead8(a);
-        h *= 0x100000001b3ull;
-    }
+    uint64_t h = kFnvOffsetBasis;
+    for (Addr a = layout::kGlobalsBase; a < layout::kStackLimit; ++a)
+        fnvByte(h, mem.rawRead8(a));
     return h;
 }
 
