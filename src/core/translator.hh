@@ -98,7 +98,7 @@ struct BlockExit
     /** Inline cache for IndirectJump/IndirectCall exits (VM-filled). */
     IndirectTargetCache ibtc;
     /**
-     * Times the untraced dispatch loop took this exit — the edge
+     * Times the untimed dispatch loop took this exit — the edge
      * profile the superblock trace builder reads to pick a block's
      * dominant successor. Never exported; dies with the block.
      */
@@ -130,7 +130,7 @@ struct TInst
      *  dynamic guest-instruction accounting). */
     bool guestStart = false;
     /** Data-memory accesses of mi, precomputed at translate time so
-     *  the VM's untraced fast path never scans operands. @{ */
+     *  neither VM block loop counts accesses per operand. @{ */
     uint8_t memReads = 0;
     uint8_t memWrites = 0;
     /** @} */

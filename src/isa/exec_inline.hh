@@ -1,11 +1,13 @@
 /**
  * @file
- * Inline single-instruction execution engine — the body behind
- * executeInst(), in a header so the hot loops that retire hundreds of
- * millions of instructions (the PSR VM dispatch loop, the reference
- * interpreter) inline it and keep guest state in registers across the
- * op switch. Cold callers keep using the out-of-line executeInst()
- * wrapper from interp.hh; the semantics are one and the same function.
+ * Inline single-instruction execution engine: the body behind
+ * executeInst(). It lives in a header and is forced inline
+ * ([[gnu::always_inline]]) into the loops that retire hundreds of
+ * millions of instructions: the reference interpreter's runWith() and
+ * both variants of the PSR VM's block loop. Without the attribute the
+ * compiler's growth limits keep it an out-of-line call in those large
+ * loops. Cold callers use the out-of-line executeInst() wrapper from
+ * interp.hh; the semantics are one and the same function.
  */
 
 #ifndef HIPSTR_ISA_EXEC_INLINE_HH
@@ -39,7 +41,7 @@ namespace interp_detail
  * committing dependent state so the fault ordering matches what the
  * old throwing variants produced.
  */
-inline uint32_t
+[[gnu::always_inline]] inline uint32_t
 readOperand(const Operand &o, const MachineState &state,
             const Memory &mem, bool &fault)
 {
@@ -62,7 +64,7 @@ readOperand(const Operand &o, const MachineState &state,
     hipstr_panic("readOperand: invalid operand kind");
 }
 
-inline void
+[[gnu::always_inline]] inline void
 writeOperand(const Operand &o, uint32_t v, MachineState &state,
              Memory &mem, bool &fault)
 {
@@ -130,9 +132,10 @@ aluCompute(Op op, uint32_t a, uint32_t b)
 
 /**
  * Execute one decoded instruction (see executeInst in interp.hh for
- * the contract). Inline so hot loops fold it into their dispatch.
+ * the contract). Forced inline so hot loops fold it into their
+ * dispatch.
  */
-inline ExecStatus
+[[gnu::always_inline]] inline ExecStatus
 executeInstInline(const MachInst &mi, MachineState &state, Memory &mem,
                   GuestOs *os)
 {

@@ -1,6 +1,5 @@
 #include "interp.hh"
 
-#include "isa/codec.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -45,59 +44,13 @@ Interpreter::flushDecoded()
 RunResult
 Interpreter::run(uint64_t maxInsts)
 {
-    RunResult res;
-    for (uint64_t i = 0; i < maxInsts; ++i) {
-        // Checked per instruction: syscalls and the trace hook may
-        // change code or the ISA between two steps.
-        if (_mem.codeEpoch() != _decodedEpoch ||
-            state.isa != _decodedIsa)
-            flushDecoded();
-        Decoded &line = _decoded[state.pc % kDecodedLines];
-        if (line.pc != state.pc) {
-            if (!decodeInst(state.isa, _mem, state.pc, line.mi)) {
-                line.pc = kNoPc;
-                res.reason = StopReason::BadInst;
-                res.stopPc = state.pc;
-                return res;
-            }
-            line.pc = state.pc;
-        }
-        const MachInst &mi = line.mi;
-        Addr pc_before = state.pc;
-        // Pre-execution hook: operand base registers still hold their
-        // input values, so the timing model can compute data
-        // addresses correctly.
-        if (traceHook)
-            traceHook(mi, pc_before);
-        ExecStatus st = executeInstInline(mi, state, _mem, &_os);
-        if (st == ExecStatus::Faulted) {
-            res.reason = StopReason::Fault;
-            res.stopPc = state.pc;
-            return res;
-        }
-        ++res.instsExecuted;
-        switch (st) {
-          case ExecStatus::Continue:
-            break;
-          case ExecStatus::Halted:
-            res.reason = StopReason::Halted;
-            res.stopPc = pc_before;
-            return res;
-          case ExecStatus::Exited:
-            res.reason = StopReason::Exited;
-            res.stopPc = pc_before;
-            return res;
-          case ExecStatus::VmExit:
-            res.reason = StopReason::VmExitHit;
-            res.stopPc = pc_before;
-            return res;
-          case ExecStatus::Faulted:
-            break; // handled above
-        }
-    }
-    res.reason = StopReason::StepLimit;
-    res.stopPc = state.pc;
-    return res;
+    if (_runEntry != nullptr)
+        return _runEntry(*this, _runCtx, maxInsts);
+    if (traceHook)
+        return runWith(maxInsts, [this](const MachInst &mi, Addr pc) {
+            traceHook(mi, pc);
+        });
+    return runWith(maxInsts, [](const MachInst &, Addr) {});
 }
 
 } // namespace hipstr

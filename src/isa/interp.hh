@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "isa/codec.hh"
 #include "isa/exec_inline.hh"
 #include "isa/guest_os.hh"
 #include "isa/instruction.hh"
@@ -90,14 +91,45 @@ class Interpreter
     /** Architectural state, publicly accessible for test setup. */
     MachineState state;
 
-    /** Run until a stop condition or @p maxInsts instructions. */
+    /**
+     * Run until a stop condition or @p maxInsts instructions. The
+     * loop is chosen once per call: the installed run entry if there
+     * is one, else the traceHook loop if the hook is set, else the
+     * plain loop.
+     */
     RunResult run(uint64_t maxInsts);
 
     /**
-     * Optional per-instruction observer (used by the timing model and
-     * by trace-based tests). Called after successful execution.
+     * Optional per-instruction observer for trace-based tests. Called
+     * *before* each instruction executes, while its operand base
+     * registers still hold their input values, so data addresses can
+     * be formed from @c state. An installed run entry takes precedence.
      */
     std::function<void(const MachInst &, Addr pc)> traceHook;
+
+    /**
+     * A replacement for run()'s loop, installed by an observer that
+     * wants its per-instruction work inlined (TimingHarness): it is
+     * called as fn(*this, ctx, maxInsts) and typically returns
+     * runWith() instantiated with its own hook. Pass nullptr to
+     * remove it.
+     */
+    using RunEntry = RunResult (*)(Interpreter &, void *ctx,
+                                   uint64_t maxInsts);
+    void
+    setRunEntry(RunEntry fn, void *ctx)
+    {
+        _runEntry = fn;
+        _runCtx = ctx;
+    }
+
+    /**
+     * The interpreter loop, with @p hook(mi, pc) called before each
+     * instruction executes (the traceHook contract). Every run()
+     * variant is an instantiation of this template.
+     */
+    template <typename Hook>
+    RunResult runWith(uint64_t maxInsts, Hook &&hook);
 
   private:
     /** One cache line: the decode of the instruction at @c pc. */
@@ -120,10 +152,68 @@ class Interpreter
 
     Memory &_mem;
     GuestOs &_os;
+    RunEntry _runEntry = nullptr;
+    void *_runCtx = nullptr;
     uint64_t _decodedEpoch = 0;
     IsaKind _decodedIsa = IsaKind::Cisc;
     std::array<Decoded, kDecodedLines> _decoded;
 };
+
+template <typename Hook>
+RunResult
+Interpreter::runWith(uint64_t maxInsts, Hook &&hook)
+{
+    RunResult res;
+    for (uint64_t i = 0; i < maxInsts; ++i) {
+        // Checked per instruction: syscalls and the hook may change
+        // code or the ISA between two steps.
+        if (_mem.codeEpoch() != _decodedEpoch ||
+            state.isa != _decodedIsa)
+            flushDecoded();
+        Decoded &line = _decoded[state.pc % kDecodedLines];
+        if (line.pc != state.pc) {
+            if (!decodeInst(state.isa, _mem, state.pc, line.mi)) {
+                line.pc = kNoPc;
+                res.reason = StopReason::BadInst;
+                res.stopPc = state.pc;
+                return res;
+            }
+            line.pc = state.pc;
+        }
+        const MachInst &mi = line.mi;
+        const Addr pc_before = state.pc;
+        hook(mi, pc_before);
+        ExecStatus st = executeInstInline(mi, state, _mem, &_os);
+        if (st == ExecStatus::Continue) [[likely]] {
+            ++res.instsExecuted;
+            continue;
+        }
+        if (st == ExecStatus::Faulted) {
+            res.reason = StopReason::Fault;
+            res.stopPc = state.pc;
+            return res;
+        }
+        ++res.instsExecuted;
+        res.stopPc = pc_before;
+        switch (st) {
+          case ExecStatus::Halted:
+            res.reason = StopReason::Halted;
+            return res;
+          case ExecStatus::Exited:
+            res.reason = StopReason::Exited;
+            return res;
+          case ExecStatus::VmExit:
+            res.reason = StopReason::VmExitHit;
+            return res;
+          case ExecStatus::Continue:
+          case ExecStatus::Faulted:
+            break; // handled above
+        }
+    }
+    res.reason = StopReason::StepLimit;
+    res.stopPc = state.pc;
+    return res;
+}
 
 } // namespace hipstr
 

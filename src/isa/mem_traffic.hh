@@ -2,13 +2,12 @@
  * @file
  * The single source of truth for per-instruction data-memory traffic.
  *
- * Three consumers previously hand-counted (and disagreed on) the
- * reads and writes of an instruction: the PSR VM's traceData, the
- * native interpreter's timing hook, and nothing at translate time.
- * They now all walk the same enumeration, so an instruction can never
- * be double-counted on one engine and missed on the other, and the
- * translator can bake the counts into each translated instruction for
- * the VM's untraced fast path.
+ * Three consumers walk this one enumeration: the translator, which
+ * bakes the counts into each translated instruction (the VM credits
+ * memReads/memWrites from them in both of its block loops), the VM's
+ * timed loop, which forms the addresses for the timing model, and the
+ * timing model's native step. So an instruction can never be
+ * double-counted on one engine and missed on the other.
  *
  * Enumeration order is reads first (src1, src2), then the destination
  * write, then the implicit stack access — the access order a real
@@ -45,9 +44,11 @@ struct MemCounts
  *
  * Control-transfer target reads (JmpInd/CallInd through memory) are
  * accounted by the dispatcher that resolves them, not here.
+ *
+ * Forced inline: the timed loops call it once per instruction.
  */
 template <typename Cb>
-inline void
+[[gnu::always_inline]] inline void
 forEachMemAccess(const MachInst &mi, const MachineState &state,
                  Cb &&cb)
 {

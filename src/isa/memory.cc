@@ -122,6 +122,20 @@ Memory::rebuildSpans()
                                   static_cast<uint8_t>(p)});
     }
     hipstr_assert(!_spans.empty() && _spans.back().end == mem_end);
+
+    // Page table: every page starts mixed; each span then claims the
+    // pages that lie wholly inside it. A page with a span edge inside
+    // is claimed by no span and stays mixed.
+    _pagePerm.fill(kMixedPage);
+    Addr start = 0;
+    for (const Span &sp : _spans) {
+        const uint64_t first = (uint64_t(start) + kPageBytes - 1) >>
+            kPageShift;
+        const uint64_t last = uint64_t(sp.end) >> kPageShift;
+        if (first < last)
+            std::memset(&_pagePerm[first], sp.perm, last - first);
+        start = sp.end;
+    }
 }
 
 std::string

@@ -121,16 +121,21 @@ class Memory
                    const std::string &name);
 
     /**
-     * Permission byte governing @p addr: a binary search over the
-     * flattened span partition (rebuilt on every setRegion), so the
-     * per-access cost is O(log regions) instead of a scan of the
-     * region list with last-definition-wins ordering.
+     * Permission byte governing @p addr, the perm of the span that
+     * contains it. One byte per page caches that perm for every page
+     * a single span covers, so the lookup is O(1); a page that
+     * straddles a span edge is marked mixed and falls back to the
+     * binary search over the flattened span partition. Both are
+     * rebuilt on every setRegion.
      */
     Perm permAt(Addr addr) const
     {
         if (addr >= kSize)
             return PermNone;
-        return static_cast<Perm>(_spans[spanIndex(addr)].perm);
+        uint8_t p = _pagePerm[addr >> kPageShift];
+        if (p == kMixedPage) [[unlikely]]
+            p = _spans[spanIndex(addr)].perm;
+        return static_cast<Perm>(p);
     }
 
     /** Name of the region containing @p addr ("" if unmapped). */
@@ -152,9 +157,10 @@ class Memory
      * cost of the throwing variants; the throwing variants remain for
      * cold paths that want the diagnostic message. Try-writes honor
      * journaling exactly like their throwing counterparts. Inline —
-     * together with the span-based permAt, a checked access is a
-     * bounds test, a short binary search, the dirty mark, and the data
-     * move. @{
+     * together with the page-table permAt, a checked access is a
+     * bounds test, a table load, the dirty mark, and the data move.
+     * Only the first byte's permission is checked, as everywhere in
+     * checkOk. @{
      */
     bool tryRead8(Addr addr, uint8_t &v) const noexcept
     {
@@ -201,10 +207,10 @@ class Memory
      * register slots, a hot array or byte buffer). The hint caches the
      * inclusive range of base addresses for which an access of one
      * fixed length (4 bytes or 1) is known legal, so a hit replaces
-     * the permAt binary search with one range compare. Hints hold no
-     * pointers and are invalidated by layoutEpoch(); the trace JIT
-     * keeps one persistent hint per memory op — each op has one
-     * access length — and clears its table when the epoch moves.
+     * the bounds test and the permAt lookup with one range compare.
+     * Hints hold no pointers and are invalidated by layoutEpoch(); the
+     * trace JIT keeps one persistent hint per memory op — each op has
+     * one access length — and clears its table when the epoch moves.
      * Traces never reach setRegion or zeroRange (syscalls end a
      * trace). A hit performs exactly the access tryRead32/tryWrite32
      * (or tryRead8/tryWrite8) would, so the hint is semantically
@@ -493,14 +499,25 @@ class Memory
         uint8_t perm;
     };
 
-    /** Recompute _spans from _regions (definition order wins). */
+    /**
+     * Recompute _spans from _regions (definition order wins), then
+     * _pagePerm from _spans.
+     */
     void rebuildSpans();
+
+    /** _pagePerm value of a page that more than one span covers. */
+    static constexpr uint8_t kMixedPage = 0xff;
 
     uint8_t *_bytes; ///< kSize bytes, zero until first written
     /** One byte per page: nonzero iff the page may be non-zero. */
     std::array<uint8_t, kSize / kPageBytes> _dirty{};
     std::vector<Region> _regions;
     std::vector<Span> _spans;
+    /**
+     * One byte per page: the perm of the one span covering the whole
+     * page, or kMixedPage where a span edge falls inside the page.
+     */
+    std::array<uint8_t, kSize / kPageBytes> _pagePerm{};
     uint64_t _layoutEpoch = 0; ///< see layoutEpoch()
     uint64_t _codeEpoch = 0;   ///< see codeEpoch()
     bool _journaling = false;

@@ -16,16 +16,18 @@ CacheSim::CacheSim(uint32_t capacity_bytes, unsigned ways,
     hipstr_assert(lines >= ways && lines % ways == 0);
     _sets = lines / ways;
     hipstr_assert(isPowerOf2(_sets));
+    _setShift = log2Floor(_sets);
     _lines.resize(lines);
 }
 
 bool
-CacheSim::access(Addr addr)
+CacheSim::accessLine(uint64_t line)
 {
+    _lastLine = line;
     ++_tick;
-    Addr line_addr = addr >> _lineShift;
+    const Addr line_addr = static_cast<Addr>(line);
     unsigned set = line_addr & (_sets - 1);
-    Addr tag = line_addr >> log2Floor(_sets);
+    Addr tag = line_addr >> _setShift;
 
     Line *base = &_lines[set * _ways];
     Line *victim = base;
@@ -54,6 +56,7 @@ CacheSim::reset()
 {
     for (Line &l : _lines)
         l.valid = false;
+    _lastLine = kNoLine;
     _hits = 0;
     _misses = 0;
     _tick = 0;

@@ -1,10 +1,8 @@
 #include "timing.hh"
 
-#include "isa/mem_traffic.hh"
-#include "isa/memory.hh"
 #include "support/logging.hh"
-// Header-only use: hook members and VmStats. The sim library has no
-// link dependency on the VM.
+// Header-only use: the timing pointer and VmStats. The sim library
+// has no link dependency on the VM.
 #include "vm/psr_vm.hh"
 
 namespace hipstr
@@ -16,8 +14,9 @@ RegCacheSim::RegCacheSim(unsigned entries) : _entries(entries)
 }
 
 bool
-RegCacheSim::access(Addr word_addr)
+RegCacheSim::accessWord(Addr word_addr)
 {
+    _lastAddr = word_addr;
     ++_tick;
     Entry *victim = &_entries[0];
     for (Entry &e : _entries) {
@@ -43,6 +42,7 @@ RegCacheSim::reset()
 {
     for (Entry &e : _entries)
         e.valid = false;
+    _lastAddr = kNoAddr;
     _hits = 0;
     _misses = 0;
     _tick = 0;
@@ -58,43 +58,23 @@ TimingHarness::TimingHarness(IsaKind isa, bool reg_cache_on,
 }
 
 void
-TimingHarness::dataAccess(Addr addr)
-{
-    bool stack = addr >= layout::kStackLimit;
-    if (stack) {
-        if (_regCacheOn && _l0.access(addr >> 2)) {
-            // Register-cache hit: register speed, no D-cache traffic.
-            return;
-        }
-        ++_stackAccessCost;
-    }
-    _dcache.access(addr);
-}
-
-void
 TimingHarness::attachVm(PsrVm &vm)
 {
-    vm.dataTraceHook = [this](Addr addr, bool) { dataAccess(addr); };
-    vm.fetchTraceHook = [this](Addr cache_addr) {
-        _icache.access(cache_addr);
-    };
+    vm.timing = this;
 }
 
 void
 TimingHarness::attachInterpreter(Interpreter &interp)
 {
-    // Memory-traffic enumeration is shared with the VM's trace path
-    // (forEachMemAccess), so native and VM timing count the same
-    // accesses for the same instruction stream.
-    Interpreter *ip = &interp;
-    interp.traceHook = [this, ip](const MachInst &mi, Addr pc) {
-        ++_nativeInsts;
-        _icache.access(pc);
-        forEachMemAccess(mi, ip->state,
-                         [this](Addr addr, bool) { dataAccess(addr); });
-        if (mi.op == Op::Syscall)
-            ++_nativeSyscalls;
-    };
+    interp.setRunEntry(
+        [](Interpreter &ip, void *harness, uint64_t max_insts) {
+            TimingHarness &h = *static_cast<TimingHarness *>(harness);
+            return ip.runWith(max_insts,
+                              [&h, &ip](const MachInst &mi, Addr pc) {
+                                  h.nativeStep(mi, ip.state, pc);
+                              });
+        },
+        this);
 }
 
 TimingSnapshot
@@ -157,32 +137,13 @@ TimingHarness::nativeCyclesSince(const TimingSnapshot &t0) const
 double
 TimingHarness::vmCycles(const VmStats &s) const
 {
-    double cycles = double(s.hostInsts) / _core.baseIpc;
-    cycles += double(_icache.misses()) * params.l1MissCycles;
-    cycles += double(_dcache.misses()) * params.l1MissCycles;
-    cycles += double(_stackAccessCost) * params.stackAccessCycles;
-    cycles += double(s.dispatches) * params.dispatchCycles;
-    cycles += double(s.translatedGuestInsts) *
-        params.translateCyclesPerGuestInst;
-    cycles += double(s.ratHits) *
-        double(ReturnAddressTable::kLookupCycles);
-    cycles += double(s.ratMisses) * params.ratMissCycles;
-    cycles += double(s.cacheFlushes) * params.cacheFlushCycles;
-    cycles += double(s.syscalls) * params.syscallCycles;
-    cycles += double(s.diversificationFlips) *
-        params.isomeronFlipCycles;
-    return cycles;
+    return vmCyclesSince(VmStats{}, s, TimingSnapshot{});
 }
 
 double
 TimingHarness::nativeCycles() const
 {
-    double cycles = double(_nativeInsts) / _core.baseIpc;
-    cycles += double(_icache.misses()) * params.l1MissCycles;
-    cycles += double(_dcache.misses()) * params.l1MissCycles;
-    cycles += double(_stackAccessCost) * params.stackAccessCycles;
-    cycles += double(_nativeSyscalls) * params.syscallCycles;
-    return cycles;
+    return nativeCyclesSince(TimingSnapshot{});
 }
 
 } // namespace hipstr

@@ -20,8 +20,10 @@
 #define HIPSTR_SIM_TIMING_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "isa/interp.hh"
+#include "isa/mem_traffic.hh"
 #include "sim/cache.hh"
 #include "sim/core_config.hh"
 
@@ -47,13 +49,27 @@ struct TimingParams
                                      ///< call/return coin flip
 };
 
-/** Tiny fully-associative word cache (the global register cache). */
+/**
+ * Tiny fully-associative word cache (the global register cache), with
+ * true-LRU replacement and CacheSim's exact same-line shortcut applied
+ * to the word address: a repeat of the previous word is a hit with no
+ * walk and no tick (see CacheSim for why that leaves every later
+ * result unchanged).
+ */
 class RegCacheSim
 {
   public:
     explicit RegCacheSim(unsigned entries);
     /** @retval true on hit (the access is register-speed). */
-    bool access(Addr word_addr);
+    bool
+    access(Addr word_addr)
+    {
+        if (word_addr == _lastAddr) {
+            ++_hits;
+            return true;
+        }
+        return accessWord(word_addr);
+    }
     uint64_t hits() const { return _hits; }
     uint64_t misses() const { return _misses; }
     void reset();
@@ -65,7 +81,14 @@ class RegCacheSim
         Addr addr = 0;
         uint64_t lastUse = 0;
     };
+    /** Matches no 32-bit word address. */
+    static constexpr uint64_t kNoAddr = ~uint64_t(0);
+
+    /** The full walk for @p word_addr. */
+    bool accessWord(Addr word_addr);
+
     std::vector<Entry> _entries;
+    uint64_t _lastAddr = kNoAddr; ///< word of the previous access
     uint64_t _tick = 0;
     uint64_t _hits = 0;
     uint64_t _misses = 0;
@@ -84,6 +107,11 @@ struct TimingSnapshot
 /**
  * Attaches to one execution engine, simulates its memory hierarchy,
  * and produces cycle counts.
+ *
+ * The engines call the harness directly: the PSR VM's timed block
+ * loop calls fetch() and data() inline through PsrVm::timing, and an
+ * attached interpreter runs a loop instantiated with the harness's
+ * per-instruction step. Neither path goes through a std::function.
  */
 class TimingHarness
 {
@@ -96,11 +124,34 @@ class TimingHarness
     TimingHarness(IsaKind isa, bool reg_cache_on,
                   unsigned reg_cache_entries = 3);
 
-    /** Install fetch/data hooks on a PSR VM. */
+    /** Point @p vm's timed block loop at this harness. */
     void attachVm(PsrVm &vm);
 
-    /** Install the trace hook on a native interpreter. */
+    /**
+     * Install this harness's timed run entry on @p interp: every
+     * later run() simulates the fetch and data traffic of each
+     * instruction it executes, before executing it.
+     */
     void attachInterpreter(Interpreter &interp);
+
+    /** One instruction fetch at @p addr (the I-cache stream). */
+    void fetch(Addr addr) { _icache.access(addr); }
+
+    /**
+     * One data access at @p addr (the D-cache stream). Stack words
+     * go through the global register cache first when it is on; a
+     * hit there is register speed and never reaches the D-cache.
+     */
+    void
+    data(Addr addr)
+    {
+        if (addr >= layout::kStackLimit) {
+            if (_regCacheOn && _l0.access(addr >> 2))
+                return;
+            ++_stackAccessCost;
+        }
+        _dcache.access(addr);
+    }
 
     /** Current counter values (for delta measurement). */
     TimingSnapshot snapshot() const;
@@ -128,7 +179,22 @@ class TimingHarness
     TimingParams params;
 
   private:
-    void dataAccess(Addr addr);
+    /**
+     * Account one native instruction about to execute at @p pc:
+     * memory traffic comes from forEachMemAccess, which the VM's
+     * translate-time counts also derive from, so both engines count
+     * the same accesses for the same instruction stream.
+     */
+    [[gnu::always_inline]] void
+    nativeStep(const MachInst &mi, const MachineState &state, Addr pc)
+    {
+        ++_nativeInsts;
+        fetch(pc);
+        forEachMemAccess(mi, state,
+                         [this](Addr addr, bool) { data(addr); });
+        if (mi.op == Op::Syscall)
+            ++_nativeSyscalls;
+    }
 
     const CoreConfig &_core;
     CacheSim _icache;

@@ -321,19 +321,6 @@ PsrVm::fetchBlock(Addr src, VmRunResult &stop)
     return placed;
 }
 
-void
-PsrVm::traceData(const MachInst &mi)
-{
-    forEachMemAccess(mi, state, [&](Addr addr, bool write) {
-        if (write)
-            ++stats.memWrites;
-        else
-            ++stats.memReads;
-        if (dataTraceHook)
-            dataTraceHook(addr, write);
-    });
-}
-
 VmRunResult
 PsrVm::run(uint64_t max_guest_insts)
 {
@@ -360,7 +347,7 @@ PsrVm::run(uint64_t max_guest_insts)
     const double ts0 = spans ? traceTs() : 0;
     const uint64_t g0 = stats.guestInsts;
 
-    VmRunResult res = (fetchTraceHook || dataTraceHook)
+    VmRunResult res = timing != nullptr
         ? runLoop<true>(max_guest_insts)
         : runLoop<false>(max_guest_insts);
 
@@ -465,7 +452,7 @@ PsrVm::emitCallLinkage(Addr source_ra, VmRunResult &stop)
     return true;
 }
 
-template <bool Traced>
+template <bool Timed>
 VmRunResult
 PsrVm::runLoop(uint64_t max_guest_insts)
 {
@@ -490,13 +477,15 @@ PsrVm::runLoop(uint64_t max_guest_insts)
         return indirectResolve(target, stop);
     };
 
-    // Superblock traces live only on the untraced loop: the
-    // fetch/data-hooked loop models per-instruction cache behaviour
-    // and must keep the baseline dispatch shape. Compiled traces
-    // never report control transfers to controlTraceHook and write
-    // memory without journaling, so a run with either gate live
-    // stays on the plain block loop: it neither enters nor forms
-    // traces.
+    // The timing sink, like the loop variant, is chosen once per run.
+    [[maybe_unused]] TimingHarness *const sink = timing;
+
+    // Superblock traces live only on the untimed loop: the timed loop
+    // models per-instruction cache behaviour and must keep the
+    // baseline dispatch shape. Compiled traces never report control
+    // transfers to controlTraceHook and write memory without
+    // journaling, so a run with either gate live stays on the plain
+    // block loop: it neither enters nor forms traces.
     [[maybe_unused]] const bool traces =
         _jitOn && !controlTraceHook && !_mem.journaling();
 
@@ -509,7 +498,7 @@ PsrVm::runLoop(uint64_t max_guest_insts)
     [[maybe_unused]] bool from_resume = false;
 
     while (true) {
-        if constexpr (!Traced) {
+        if constexpr (!Timed) {
             const bool entered_from_resume = from_resume;
             from_resume = false;
             if (traces && !entered_from_resume) {
@@ -588,28 +577,30 @@ PsrVm::runLoop(uint64_t max_guest_insts)
             }
             stats.guestInsts += t.guestCum - g0;
             stats.hostInsts += (idx + 1) - credited;
-            if constexpr (!Traced) {
-                // Translate-time counts: no operand scanning, no
-                // address formation on the untraced fast path. The
-                // traced loop counts per access in traceData().
-                stats.memReads += t.memReadsCum - r0;
-                stats.memWrites += t.memWritesCum - w0;
-            }
+            stats.memReads += t.memReadsCum - r0;
+            stats.memWrites += t.memWritesCum - w0;
             credited = idx + 1;
         };
 
         while (i < n) {
             const TInst &ti = insts[i];
-            if constexpr (Traced) {
-                if (fetchTraceHook)
-                    fetchTraceHook(blk->cacheAddr + ti.byteOff);
-            }
+            if constexpr (Timed)
+                sink->fetch(blk->cacheAddr + ti.byteOff);
 
             switch (ti.klass) {
               case ExecClass::Plain:
               case ExecClass::GuestStartPlain: {
-                if constexpr (Traced)
-                    traceData(ti.mi);
+                if constexpr (Timed) {
+                    // Pre-execution register values form the
+                    // addresses; the counts were credited from the
+                    // translate-time totals, which agree.
+                    if ((ti.memReads | ti.memWrites) != 0) {
+                        forEachMemAccess(ti.mi, state,
+                                         [sink](Addr addr, bool) {
+                                             sink->data(addr);
+                                         });
+                    }
+                }
                 ExecStatus st =
                     executeInstInline(ti.mi, state, _mem, &_os);
                 state.pc = block_pc;
@@ -659,10 +650,8 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                     return stop;
                 }
                 ++stats.memReads;
-                if constexpr (Traced) {
-                    if (dataTraceHook)
-                        dataTraceHook(sp, false);
-                }
+                if constexpr (Timed)
+                    sink->data(sp);
                 state.setSp(sp + kWordSize);
                 is_ret = true;
                 break;
@@ -795,9 +784,9 @@ PsrVm::runLoop(uint64_t max_guest_insts)
         // taken from it is discarded when the flush generation moves.
         const uint64_t flushes_at_exit = _cache.flushes();
         BlockExit &exit_slot = blk->exits[exit_idx];
-        if constexpr (!Traced) {
+        if constexpr (!Timed) {
             // Edge profile for the superblock trace builder. The
-            // traced loop never forms traces, so it skips the count.
+            // timed loop never forms traces, so it skips the count.
             ++exit_slot.hitCount;
         }
         const BlockExit &exit = exit_slot;

@@ -36,6 +36,8 @@
 namespace hipstr
 {
 
+class TimingHarness;
+
 /** Why a VM run stopped. */
 enum class VmStop
 {
@@ -118,10 +120,13 @@ class PsrVm
      */
     std::function<bool(Addr target)> securityEventHook;
 
-    /** Optional per-access hooks for the timing model. @{ */
-    std::function<void(Addr addr, bool write)> dataTraceHook;
-    std::function<void(Addr cacheAddr)> fetchTraceHook;
-    /** @} */
+    /**
+     * Optional timing model (set by TimingHarness::attachVm). While
+     * set, run() takes the timed block loop, which calls its inline
+     * fetch() for every translated instruction and data() for every
+     * data access, in execution order.
+     */
+    TimingHarness *timing = nullptr;
 
     /**
      * Optional control-transfer trace: called with the guest target
@@ -162,14 +167,15 @@ class PsrVm
     /**
      * Run until a stop condition or @p max_guest_insts.
      *
-     * The run dispatches once, up front, onto a traced or an
-     * untraced loop: when no fetch/data hook is installed the inner
-     * instruction loop performs no hook checks and no per-operand
-     * scanning — data-access counts are taken from the translate-time
-     * totals baked into each translated instruction. The untraced
-     * loop forms and enters compiled traces when the JIT is on and
-     * neither a control-trace hook nor memory journaling is live;
-     * those gates are checked once per run, never per trace entry.
+     * The run dispatches once, up front, onto a timed or an untimed
+     * loop. Both take data-access counts from the translate-time
+     * totals baked into each translated instruction; only the timed
+     * loop (a timing harness attached) forms the data addresses of
+     * the instructions that access memory. The untimed loop performs
+     * no per-instruction checks, and it forms and enters compiled
+     * traces when the JIT is on and neither a control-trace hook nor
+     * memory journaling is live; those gates are checked once per
+     * run, never per trace entry.
      */
     VmRunResult run(uint64_t max_guest_insts);
 
@@ -271,13 +277,11 @@ class PsrVm
   private:
     /** Fetch (lookup or translate) the unit at @p src. */
     TranslatedBlock *fetchBlock(Addr src, VmRunResult &stop);
-    /** Count + trace the data accesses of one instruction. */
-    void traceData(const MachInst &mi);
     /**
-     * The run loop, specialized on whether fetch/data hooks are live.
-     * The hooked loop never forms or enters traces.
+     * The run loop, specialized on whether a timing harness is
+     * attached. The timed loop never forms or enters traces.
      */
-    template <bool Traced>
+    template <bool Timed>
     VmRunResult runLoop(uint64_t max_guest_insts);
 
     /**

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 
 #include "isa/codec.hh"
 #include "isa/guest_os.hh"
 #include "isa/interp.hh"
 #include "isa/memory.hh"
+#include "support/random.hh"
 #include "test_util.hh"
 
 namespace hipstr
@@ -522,6 +524,91 @@ TEST(Memory, SpanProbe8MatchesTryAccessNearEveryEdge)
     EXPECT_EQ(h32.hi, end - 4);
     EXPECT_TRUE(mem.probe8Span(h8, end - 3, PermR));
     EXPECT_FALSE(mem.probe32Span(h32, end - 3, PermR));
+}
+
+TEST(Memory, PageTableMatchesSpanRuleNearEveryEdgeAndPage)
+{
+    // Checked accesses resolve permissions through a byte-per-page
+    // table with a span fallback on pages a span edge cuts through.
+    // On random layouts with unaligned edges, every checked access
+    // near a region edge or a page boundary must agree with the span
+    // rule: in bounds, and the first byte's region (the last
+    // definition covering it) grants the permission.
+    struct Def
+    {
+        Addr base;
+        uint32_t size;
+        Perm perm;
+    };
+    const Addr end = layout::kMemEnd;
+    const Perm perms[] = { PermNone, PermR, PermW, PermRW, PermX,
+                           PermRX };
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        Memory mem;
+        std::vector<Def> defs;
+        auto define = [&](Addr base, uint32_t size, Perm perm) {
+            mem.setRegion(base, size, perm, "r");
+            // setRegion redefines an exact (base, size) match in place.
+            for (Def &d : defs) {
+                if (d.base == base && d.size == size) {
+                    d.perm = perm;
+                    return;
+                }
+            }
+            defs.push_back(Def{base, size, perm});
+        };
+        for (int k = 0; k < 12; ++k) {
+            const Addr base = static_cast<Addr>(rng.below(0x10000));
+            define(base, 1 + static_cast<uint32_t>(rng.below(0x3000)),
+                   perms[rng.below(std::size(perms))]);
+        }
+        // A page-aligned region, and one ending the address space.
+        define(0x5000, 0x2000, perms[rng.below(std::size(perms))]);
+        const uint32_t tail = 1 + static_cast<uint32_t>(rng.below(0x1800));
+        define(end - tail, tail, perms[rng.below(std::size(perms))]);
+
+        auto spanRule = [&](Addr addr, unsigned len, Perm needed) {
+            if (uint64_t(addr) + len > end)
+                return false;
+            Perm p = PermNone;
+            for (const Def &d : defs) {
+                if (addr >= d.base && addr - d.base < d.size)
+                    p = d.perm;
+            }
+            return (p & needed) == needed;
+        };
+
+        std::vector<Addr> marks;
+        for (const Def &d : defs) {
+            marks.push_back(d.base);
+            marks.push_back(d.base + d.size);
+        }
+        for (Addr page = 0; page <= 0x14000; page += Memory::kPageBytes)
+            marks.push_back(page);
+        for (Addr page = end - 0x2000; page <= end;
+             page += Memory::kPageBytes)
+            marks.push_back(page);
+
+        for (Addr mark : marks) {
+            for (Addr addr = mark >= 8 ? mark - 8 : 0; addr <= mark + 8;
+                 ++addr) {
+                uint8_t b = 0;
+                uint32_t w = 0;
+                ASSERT_EQ(mem.tryRead8(addr, b), spanRule(addr, 1, PermR))
+                    << std::hex << "seed " << seed << " addr 0x" << addr;
+                ASSERT_EQ(mem.tryRead32(addr, w),
+                          spanRule(addr, 4, PermR))
+                    << std::hex << "seed " << seed << " addr 0x" << addr;
+                ASSERT_EQ(mem.tryWrite8(addr, 0x5a),
+                          spanRule(addr, 1, PermW))
+                    << std::hex << "seed " << seed << " addr 0x" << addr;
+                ASSERT_EQ(mem.tryWrite32(addr, 0xa5a5a5a5u),
+                          spanRule(addr, 4, PermW))
+                    << std::hex << "seed " << seed << " addr 0x" << addr;
+            }
+        }
+    }
 }
 
 /** True iff @p op moved @p mem's code epoch. */

@@ -370,8 +370,8 @@ TEST(PsrVm, DispatchAccountingInvariant)
 
             // The control hook must be a pure observer: every counter
             // the timing model consumes is identical with and without
-            // it. It does not toggle the fetch/data-hooked loop, but
-            // it does keep the run off compiled traces, so on-trace
+            // it. It does not select the timed loop, but it does
+            // keep the run off compiled traces, so on-trace
             // edges move from traceFollows to chainFollows and only
             // the conserved sum is comparable.
             EXPECT_EQ(vm.stats.guestInsts, plain.stats.guestInsts)
