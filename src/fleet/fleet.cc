@@ -117,6 +117,11 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
     _completed.resize(cfg.shards);
     _retried.resize(cfg.shards);
     _disposed.assign(cfg.requestCount, 0);
+    // Every shard serves the same binary: one reference run covers
+    // them all.
+    const uint64_t expected = cfg.server.verifyOutput
+        ? ProtectedServer::referenceChecksum(bin)
+        : 0;
     for (unsigned k = 0; k < cfg.shards; ++k) {
         ServerConfig sc = shardServerConfig(cfg, k);
         sc.onComplete = [this, k](const Request &r, uint64_t lat) {
@@ -126,7 +131,7 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
             _retried[k].push_back(r);
         };
         _shards.push_back(
-            std::make_unique<ProtectedServer>(bin, sc));
+            std::make_unique<ProtectedServer>(bin, sc, expected));
         _lat.push_back(std::make_unique<telemetry::HistogramMetric>(
             "fleet.latency", 1, kLatencyBins));
     }

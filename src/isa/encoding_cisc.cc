@@ -197,12 +197,33 @@ emit32(std::vector<uint8_t> &out, uint32_t v)
 }
 
 /**
+ * A byte sink that only counts: sizeCisc runs the one encoder into it,
+ * so sizes cannot drift from encodings and nothing is allocated.
+ */
+struct ByteCount
+{
+    unsigned n = 0;
+};
+
+void
+emit8(ByteCount &out, uint8_t)
+{
+    ++out.n;
+}
+
+void
+emit32(ByteCount &out, uint32_t)
+{
+    out.n += 4;
+}
+
+/**
  * Emit a ModRM byte plus displacement for operand @p rm_op with the
  * given reg-field value. @p rm_op must be Reg or Mem.
  */
+template <class Sink>
 void
-emitModrm(std::vector<uint8_t> &out, unsigned reg_field,
-          const Operand &rm_op)
+emitModrm(Sink &out, unsigned reg_field, const Operand &rm_op)
 {
     hipstr_assert(reg_field < 8);
     if (rm_op.isReg()) {
@@ -368,8 +389,13 @@ encodableCisc(const MachInst &mi)
     return false;
 }
 
+namespace
+{
+
+/** The Cisc encoder over any byte sink (see ByteCount). */
+template <class Sink>
 void
-encodeCisc(const MachInst &mi, Addr pc, std::vector<uint8_t> &out)
+encodeCiscTo(const MachInst &mi, Addr pc, Sink &out)
 {
     hipstr_assert(encodableCisc(mi));
 
@@ -555,13 +581,20 @@ encodeCisc(const MachInst &mi, Addr pc, std::vector<uint8_t> &out)
     }
 }
 
+} // namespace
+
+void
+encodeCisc(const MachInst &mi, Addr pc, std::vector<uint8_t> &out)
+{
+    encodeCiscTo(mi, pc, out);
+}
+
 unsigned
 sizeCisc(const MachInst &mi)
 {
-    std::vector<uint8_t> tmp;
-    tmp.reserve(12);
-    encodeCisc(mi, 0, tmp);
-    return static_cast<unsigned>(tmp.size());
+    ByteCount count;
+    encodeCiscTo(mi, 0, count);
+    return count.n;
 }
 
 bool

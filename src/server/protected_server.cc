@@ -46,6 +46,14 @@ loadRequest(ByteReader &r)
 
 ProtectedServer::ProtectedServer(const FatBinary &bin,
                                  const ServerConfig &cfg)
+    : ProtectedServer(bin, cfg,
+                      cfg.verifyOutput ? referenceChecksum(bin) : 0)
+{
+}
+
+ProtectedServer::ProtectedServer(const FatBinary &bin,
+                                 const ServerConfig &cfg,
+                                 uint64_t expected_checksum)
     : _bin(bin), _cfg(cfg), _cmp(cfg.cmp), _sched(_cmp, cfg.sched),
       _stream(cfg.seed, cfg.mix, cfg.costs)
 {
@@ -60,9 +68,6 @@ ProtectedServer::ProtectedServer(const FatBinary &bin,
     }
     if (active != nullptr)
         _sched.faultPlan = active;
-    uint64_t expected = 0;
-    if (cfg.verifyOutput)
-        expected = referenceChecksum();
 
     for (unsigned i = 0; i < cfg.workers; ++i) {
         GuestProcessConfig pcfg;
@@ -76,23 +81,23 @@ ProtectedServer::ProtectedServer(const FatBinary &bin,
         }
         auto proc = std::make_unique<GuestProcess>(bin, pcfg);
         if (cfg.verifyOutput)
-            proc->setExpectedChecksum(expected);
+            proc->setExpectedChecksum(expected_checksum);
         proc->runtime().setTraceBuffer(cfg.trace);
         _workers.push_back(std::move(proc));
     }
 }
 
 uint64_t
-ProtectedServer::referenceChecksum() const
+ProtectedServer::referenceChecksum(const FatBinary &bin)
 {
     // One native run on the reference interpreter: the guest's output
     // is ISA-independent (the workloads are self-checking), so one
     // checksum covers every worker on either ISA.
     Memory mem;
-    loadFatBinary(_bin, mem);
+    loadFatBinary(bin, mem);
     GuestOs os;
     Interpreter interp(IsaKind::Cisc, mem, os);
-    initMachineState(interp.state, _bin, IsaKind::Cisc);
+    initMachineState(interp.state, bin, IsaKind::Cisc);
     RunResult r = interp.run(1'000'000'000);
     if (r.reason != StopReason::Exited && r.reason != StopReason::Halted)
         hipstr_fatal("server reference run did not complete: %s",

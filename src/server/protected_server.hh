@@ -262,6 +262,20 @@ class ProtectedServer
     ProtectedServer(const FatBinary &bin, const ServerConfig &cfg);
 
     /**
+     * Same, with the reference output checksum already known (only
+     * read when cfg.verifyOutput). It depends on the binary alone, so
+     * a fleet computes it once for all of its shards.
+     */
+    ProtectedServer(const FatBinary &bin, const ServerConfig &cfg,
+                    uint64_t expected_checksum);
+
+    /**
+     * Output checksum of one clean run of @p bin on the reference
+     * interpreter — what every worker's program run must reproduce.
+     */
+    static uint64_t referenceChecksum(const FatBinary &bin);
+
+    /**
      * Serve the whole request stream to completion (or until every
      * worker is retired) and return the report. Runs the per-round
      * quanta on @p pool (global pool when null). Exactly equivalent
@@ -350,9 +364,6 @@ class ProtectedServer
     }
 
   private:
-    /** Reference output checksum of one clean program run. */
-    uint64_t referenceChecksum() const;
-
     /** Per-worker in-flight request bookkeeping. */
     struct InFlight
     {

@@ -1,5 +1,7 @@
 #include "arena.hh"
 
+#include <cstring>
+
 #include "support/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -23,11 +25,11 @@ bool
 ExecArena::init(size_t bytes)
 {
 #if HIPSTR_JIT_HAVE_MMAP
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    _cap = (bytes + page - 1) & ~(page - 1);
-    if (_cap < page)
-        _cap = page;
-    void *p = ::mmap(nullptr, _cap, PROT_READ | PROT_WRITE,
+    _page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    _cap = (bytes + _page - 1) & ~(_page - 1);
+    if (_cap < _page)
+        _cap = _page;
+    void *p = ::mmap(nullptr, _cap, PROT_READ | PROT_EXEC,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) {
         _cap = 0;
@@ -35,7 +37,6 @@ ExecArena::init(size_t bytes)
     }
     _base = static_cast<uint8_t *>(p);
     _used = 0;
-    _writable = true;
     return true;
 #else
     (void)bytes;
@@ -43,36 +44,10 @@ ExecArena::init(size_t bytes)
 #endif
 }
 
-void
-ExecArena::beginWrite()
-{
-#if HIPSTR_JIT_HAVE_MMAP
-    hipstr_assert(_base != nullptr);
-    if (_writable)
-        return;
-    if (::mprotect(_base, _cap, PROT_READ | PROT_WRITE) != 0)
-        hipstr_fatal("jit arena: mprotect(RW) failed");
-    _writable = true;
-#endif
-}
-
-void
-ExecArena::endWrite()
-{
-#if HIPSTR_JIT_HAVE_MMAP
-    hipstr_assert(_base != nullptr);
-    if (!_writable)
-        return;
-    if (::mprotect(_base, _cap, PROT_READ | PROT_EXEC) != 0)
-        hipstr_fatal("jit arena: mprotect(RX) failed");
-    _writable = false;
-#endif
-}
-
 uint8_t *
 ExecArena::alloc(size_t bytes)
 {
-    hipstr_assert(_base != nullptr && _writable);
+    hipstr_assert(_base != nullptr);
     size_t aligned = (_used + 15) & ~size_t(15);
     if (aligned + bytes > _cap)
         return nullptr;
@@ -81,9 +56,29 @@ ExecArena::alloc(size_t bytes)
 }
 
 void
+ExecArena::install(uint8_t *p, const uint8_t *bytes, size_t n)
+{
+#if HIPSTR_JIT_HAVE_MMAP
+    hipstr_assert(p >= _base && p + n <= _base + _used);
+    const size_t lo = static_cast<size_t>(p - _base) & ~(_page - 1);
+    const size_t hi =
+        (static_cast<size_t>(p - _base) + n + _page - 1) & ~(_page - 1);
+    if (::mprotect(_base + lo, hi - lo, PROT_READ | PROT_WRITE) != 0)
+        hipstr_fatal("jit arena: mprotect(RW) failed");
+    std::memcpy(p, bytes, n);
+    if (::mprotect(_base + lo, hi - lo, PROT_READ | PROT_EXEC) != 0)
+        hipstr_fatal("jit arena: mprotect(RX) failed");
+#else
+    (void)p;
+    (void)bytes;
+    (void)n;
+#endif
+}
+
+void
 ExecArena::reset()
 {
-    hipstr_assert(_base != nullptr && _writable);
+    hipstr_assert(_base != nullptr);
     ++_gen;
     _used = 0;
 }

@@ -9,7 +9,9 @@
  * to a memory byte, 64-bit counter arithmetic, push/pop/call/ret, and
  * rel32 branches through a label/fixup table. Nothing here is clever:
  * each method appends one canonically-encoded instruction to a byte
- * buffer, and finalize() patches the recorded rel32 fixups.
+ * buffer, and finalize() patches the recorded rel32 fixups. clear()
+ * empties the buffers but keeps their capacity, so the engine reuses
+ * one emitter per thread instead of allocating afresh per compile.
  *
  * Register names use raw x86 encodings (RAX=0 ... R15=15); the
  * compiler layer owns the pinned-register convention.
@@ -65,6 +67,19 @@ class Emitter
     std::vector<uint8_t> code;
 
     size_t size() const { return code.size(); }
+
+    /**
+     * Forget the previous function but keep every buffer's capacity,
+     * so a reused emitter stops growing once it has held the largest
+     * body it is asked for.
+     */
+    void
+    clear()
+    {
+        code.clear();
+        _labels.clear();
+        _fixups.clear();
+    }
 
     /** Labels + rel32 fixups. @{ */
     int

@@ -1,7 +1,6 @@
 #include "engine.hh"
 
 #include <cstddef>
-#include <cstring>
 
 #include "support/logging.hh"
 #include "vm/jit/compiler.hh"
@@ -246,8 +245,8 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
 
     // Safe point by construction: compilation happens only on trace
     // entry from the dispatch loop, never under a live JIT frame, so
-    // the whole-arena W^X flip cannot pull code out from under an
-    // executing trace.
+    // neither the rewind nor the page flips of an install can pull
+    // code out from under an executing trace.
     if (!_arena.valid()) {
         if (!_arena.init(vm.config().jitArenaBytes)) {
             _arenaFailed = true;
@@ -255,15 +254,19 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
                         "allocation failed");
             return false;
         }
-    } else {
-        _arena.beginWrite();
+    } else if (_rewindPending && _arena.used() != 0) {
+        // Every body in the arena belongs to a retired trace: start
+        // over at the base, on pages that are already faulted in.
+        _arena.reset();
     }
+    _rewindPending = false;
 
-    Emitter em;
-    if (!compileTrace(*tr, layout(), em)) {
-        _arena.endWrite();
+    // One emitter per thread: its buffers keep their capacity across
+    // compiles, and a VM compiles only on the thread running it.
+    thread_local Emitter em;
+    em.clear();
+    if (!compileTrace(*tr, layout(), em))
         return false;
-    }
 
     uint8_t *p = _arena.alloc(em.size());
     if (p == nullptr) {
@@ -272,13 +275,10 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
         // entry; nothing is executing out of the arena here.
         _arena.reset();
         p = _arena.alloc(em.size());
-        if (p == nullptr) {
-            _arena.endWrite(); // larger than the whole arena
-            return false;
-        }
+        if (p == nullptr)
+            return false; // larger than the whole arena
     }
-    std::memcpy(p, em.code.data(), em.size());
-    _arena.endWrite();
+    _arena.install(p, em.code.data(), em.size());
 
     tr->jit.entry = p;
     tr->jit.gen = _arena.generation();

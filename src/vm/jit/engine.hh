@@ -23,6 +23,14 @@
  * arena's own generation stamp catches traces stranded by an
  * arena-capacity reset — ensureCompiled() recompiles them lazily at
  * the next entry, which is always a safe point (no JIT frame live).
+ * When a flush retires every live trace, tracesRetired() only marks
+ * the arena for a rewind: the flush may run inside a helper called
+ * from the very trace it retires, so the next ensureCompiled()
+ * performs the rewind instead.
+ *
+ * Installing a body is a page-local W^X flip (ExecArena::install):
+ * only the one or two pages the copy covers are ever writable, and
+ * never while executable.
  */
 
 #ifndef HIPSTR_VM_JIT_ENGINE_HH
@@ -119,6 +127,14 @@ class TraceJit
      */
     static bool hostSupported(const char **reason);
 
+    /**
+     * Every live trace was just retired (a code-cache flush or a
+     * state load). Marks the arena for a rewind at the next compile;
+     * never rewinds here, since the caller may be a helper running
+     * under the JIT frame of a trace it retired.
+     */
+    void tracesRetired() { _rewindPending = true; }
+
     /** Arena occupancy, for tests. @{ */
     size_t arenaUsed() const { return _arena.used(); }
     uint64_t arenaGeneration() const { return _arena.generation(); }
@@ -132,6 +148,7 @@ class TraceJit
   private:
     ExecArena _arena;
     bool _arenaFailed = false;
+    bool _rewindPending = false; ///< see tracesRetired()
 
     bool ensureCompiled(PsrVm &vm, SuperTrace *tr);
 };

@@ -298,15 +298,18 @@ class PsrVm
 
     /**
      * Retire every live trace, counting traces that held compiled
-     * JIT code into jit.invalidated first. Wraps every code-cache
-     * flush's invalidateAll so the two generation protocols (cache
-     * flush count, arena generation) stay composed in one place.
+     * JIT code into jit.invalidated first, and mark the JIT arena
+     * for a rewind at its next compile (a safe point). Wraps every
+     * code-cache flush's invalidateAll so the two generation
+     * protocols (cache flush count, arena generation) stay composed
+     * in one place.
      */
     void
     invalidateTraces()
     {
         _jit.stats.invalidated += _traces.liveJittedCount();
         _traces.invalidateAll();
+        _jit.tracesRetired();
     }
 
     /** Modeled timestamp of "now" for trace events (cold paths). */

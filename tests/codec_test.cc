@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/translator.hh"
 #include "isa/codec.hh"
 #include "isa/instruction.hh"
 #include "support/random.hh"
+#include "test_util.hh"
+#include "workloads/workloads.hh"
 
 namespace hipstr
 {
@@ -126,6 +132,60 @@ TEST(CiscCodec, VmExitRoundTrip)
     MachInst out = roundTrip(IsaKind::Cisc, mi);
     EXPECT_EQ(out.op, Op::VmExit);
     EXPECT_EQ(out.src1.disp, 123456);
+}
+
+TEST(CiscCodec, EncodedSizeMatchesEveryTranslatedEncoding)
+{
+    // encodedSize counts bytes without encoding into a buffer, and the
+    // translator lays out every block with it. For every instruction
+    // the translator emits (VmExit stubs included) it must equal the
+    // bytes encodeInst appends, and the sizes must tile the image.
+    const IsaKind isa = IsaKind::Cisc;
+    size_t checked = 0;
+    for (const std::string &name : allWorkloadNames()) {
+        FatBinary bin = compileModule(buildWorkload(name));
+        Memory mem;
+        loadFatBinary(bin, mem);
+        PsrConfig cfg;
+        cfg.seed = 321;
+        Randomizer rand(bin, isa, cfg);
+        PsrTranslator translator(bin, isa, rand, mem);
+        for (const FuncInfo &fi : bin.funcsFor(isa)) {
+            for (const MachBlockInfo &mb : fi.blocks) {
+                TranslateError err;
+                auto unit = translator.translate(mb.start, err);
+                ASSERT_TRUE(unit) << name << ":" << fi.name;
+                // The body, then one VmExit stub per exit a Jcc
+                // targets: exactly the instructions of the image.
+                std::vector<MachInst> emitted;
+                std::vector<bool> stubbed(unit->exits.size(), false);
+                for (const TInst &ti : unit->insts)
+                    emitted.push_back(ti.mi);
+                for (const TInst &ti : unit->insts) {
+                    if (ti.mi.op != Op::Jcc || ti.exitIdx < 0 ||
+                        stubbed[static_cast<size_t>(ti.exitIdx)]) {
+                        continue;
+                    }
+                    stubbed[static_cast<size_t>(ti.exitIdx)] = true;
+                    emitted.push_back(MachInst::vmExit(
+                        static_cast<uint32_t>(ti.exitIdx)));
+                }
+                size_t total = 0;
+                for (const MachInst &mi : emitted) {
+                    std::vector<uint8_t> bytes;
+                    encodeInst(isa, mi, 0x1000, bytes);
+                    ASSERT_EQ(encodedSize(isa, mi), bytes.size())
+                        << name << ":" << fi.name << ": "
+                        << instToString(mi, isa);
+                    total += bytes.size();
+                    ++checked;
+                }
+                EXPECT_EQ(total, unit->bytes.size())
+                    << name << ":" << fi.name;
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(RiscCodec, AllInstructionsAreFourBytes)

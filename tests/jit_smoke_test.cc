@@ -8,20 +8,27 @@
  * head falls back to the block loop for good), the tiny-arena
  * eviction storm (generational reclaim plus lazy recompilation), byte
  * moves (the httpd request parser, a byte-store fault, and the byte
- * store encoding from every allocatable host register), and the W^X
- * executable-arena round trip. On hosts where the JIT cannot
+ * store encoding from every allocatable host register), the W^X
+ * executable-arena round trip with its page-local installs, the
+ * arena rewind after a respawn, and a serving run during which no
+ * mapping is ever writable and executable at once (read from
+ * /proc/self/maps). On hosts where the JIT cannot
  * run at all (non-x86-64, sanitizer builds) the execution tests skip
  * — the differential suite still covers the block loop there.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "binary/loader.hh"
 #include "compiler/compile.hh"
 #include "ir/builder.hh"
 #include "isa/guest_os.hh"
+#include "server/protected_server.hh"
 #include "test_util.hh"
 #include "vm/jit/arena.hh"
 #include "vm/jit/emitter.hh"
@@ -450,8 +457,9 @@ TEST(JitSmoke, ByteStoreEncodesEveryAllocatableRegister)
                             jit::R9, jit::R10, jit::R11};
     jit::ExecArena arena;
     ASSERT_TRUE(arena.init(4096));
+    jit::Emitter em;
     for (uint8_t src : srcs) {
-        jit::Emitter em;
+        em.clear();
         em.pushR(jit::RBP); // the callee-saved registers clobbered
         em.pushR(jit::RBX);
         em.movRR64(jit::RAX, jit::RDI);
@@ -465,12 +473,10 @@ TEST(JitSmoke, ByteStoreEncodesEveryAllocatableRegister)
         em.popR(jit::RBP);
         em.ret();
         em.finalize();
-        arena.beginWrite();
         arena.reset();
         uint8_t *p = arena.alloc(em.size());
         ASSERT_NE(p, nullptr);
-        std::memcpy(p, em.code.data(), em.size());
-        arena.endWrite();
+        arena.install(p, em.code.data(), em.size());
         uint8_t bytes[4] = {0xee, 0xee, 0xee, 0xee};
         reinterpret_cast<void (*)(uint8_t *)>(p)(bytes);
         EXPECT_EQ(bytes[0], 0xee) << "src " << int(src);
@@ -480,44 +486,201 @@ TEST(JitSmoke, ByteStoreEncodesEveryAllocatableRegister)
     }
 }
 
+/**
+ * /proc/self/maps lines of every mapping that is writable and
+ * executable at once. Sets @p readable to false where the file does
+ * not exist (non-Linux hosts).
+ */
+std::vector<std::string>
+writableExecutableMappings(bool &readable)
+{
+    std::ifstream maps("/proc/self/maps");
+    readable = maps.is_open();
+    std::vector<std::string> bad;
+    std::string line;
+    while (std::getline(maps, line)) {
+        // "start-end perms offset dev inode [path]", perms "rwxp".
+        std::istringstream fields(line);
+        std::string range, perms;
+        fields >> range >> perms;
+        if (perms.size() >= 3 && perms[1] == 'w' && perms[2] == 'x')
+            bad.push_back(line);
+    }
+    return bad;
+}
+
+/** Fail with the offending lines if any mapping is both w and x. */
+void
+expectNoWritableExecutableMapping(const std::string &when)
+{
+    bool readable = false;
+    std::vector<std::string> bad = writableExecutableMappings(readable);
+    EXPECT_TRUE(readable) << "cannot read /proc/self/maps " << when;
+    for (const std::string &line : bad)
+        ADD_FAILURE() << "W+X mapping " << when << ": " << line;
+}
+
+/** Emit `int f() { return v; }`. */
+void
+emitReturn(jit::Emitter &em, uint32_t v)
+{
+    em.clear();
+    em.movRI32(jit::RAX, v);
+    em.ret();
+    em.finalize();
+}
+
 TEST(JitSmoke, ExecArenaWxRoundTrip)
 {
-#if !defined(HIPSTR_JIT_HAVE_MMAP) && !defined(__linux__)
-    GTEST_SKIP() << "no executable-memory support on this platform";
-#endif
     if (!jitHostOk())
         GTEST_SKIP() << "trace JIT unsupported on this host/build";
     jit::ExecArena arena;
-    ASSERT_TRUE(arena.init(4096));
+    ASSERT_TRUE(arena.init(3 * 4096));
     EXPECT_TRUE(arena.valid());
+    EXPECT_EQ(arena.used(), 0u);
     const uint64_t gen0 = arena.generation();
 
-    // Emit `mov eax, 42; ret`, copy it in under the write window,
-    // seal, and call it out of the now-executable mapping.
+    // Install `mov eax, 42; ret` and call it out of the executable
+    // mapping.
     jit::Emitter em;
-    em.movRI32(jit::RAX, 42);
-    em.ret();
-    em.finalize();
-    arena.beginWrite();
+    emitReturn(em, 42);
     uint8_t *p = arena.alloc(em.size());
     ASSERT_NE(p, nullptr);
-    std::memcpy(p, em.code.data(), em.size());
-    arena.endWrite();
+    arena.install(p, em.code.data(), em.size());
     EXPECT_GE(arena.used(), em.size());
     EXPECT_EQ(reinterpret_cast<int (*)()>(p)(), 42);
+    expectNoWritableExecutableMapping("after the first install");
 
-    // Generational reclaim: reset requires the write window open,
-    // bumps the stamp, and empties the bump pointer; the next
-    // allocation reuses the same mapping.
-    arena.beginWrite();
+    // Allocation stays dense: the next body lands 16-byte aligned
+    // right after the first, and installing it flips the page the
+    // first body shares without disturbing it.
+    emitReturn(em, 7);
+    uint8_t *q = arena.alloc(em.size());
+    ASSERT_NE(q, nullptr);
+    EXPECT_EQ(q, p + ((em.size() + 15) & ~size_t(15)));
+    arena.install(q, em.code.data(), em.size());
+    EXPECT_EQ(reinterpret_cast<int (*)()>(q)(), 7);
+    EXPECT_EQ(reinterpret_cast<int (*)()>(p)(), 42);
+
+    // A body straddling a page boundary flips both pages it covers.
+    const size_t next = (arena.used() + 15) & ~size_t(15);
+    ASSERT_NE(arena.alloc(4096 - next % 4096 - 16), nullptr);
+    jit::Emitter wide;
+    for (int i = 0; i < 8; ++i)
+        wide.movRI32(jit::RCX, 0); // 40 bytes of filler
+    wide.movRI32(jit::RAX, 99);
+    wide.ret();
+    wide.finalize();
+    uint8_t *w = arena.alloc(wide.size());
+    ASSERT_NE(w, nullptr);
+    ASSERT_NE(reinterpret_cast<uintptr_t>(w) / 4096,
+              reinterpret_cast<uintptr_t>(w + wide.size() - 1) / 4096);
+    arena.install(w, wide.code.data(), wide.size());
+    EXPECT_EQ(reinterpret_cast<int (*)()>(w)(), 99);
+    EXPECT_EQ(reinterpret_cast<int (*)()>(p)(), 42);
+    expectNoWritableExecutableMapping("after a page-straddling install");
+
+    // Generational reclaim bumps the stamp and empties the bump
+    // pointer; the next allocation reuses the base of the mapping.
     arena.reset();
     EXPECT_EQ(arena.generation(), gen0 + 1);
     EXPECT_EQ(arena.used(), 0u);
-    uint8_t *q = arena.alloc(em.size());
-    ASSERT_NE(q, nullptr);
-    std::memcpy(q, em.code.data(), em.size());
-    arena.endWrite();
-    EXPECT_EQ(reinterpret_cast<int (*)()>(q)(), 42);
+    emitReturn(em, 42);
+    uint8_t *r = arena.alloc(em.size());
+    EXPECT_EQ(r, p);
+    arena.install(r, em.code.data(), em.size());
+    EXPECT_EQ(reinterpret_cast<int (*)()>(r)(), 42);
+    expectNoWritableExecutableMapping("after a rewind");
+}
+
+TEST(JitSmoke, RespawnRewindsTheArena)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // Re-randomization retires every trace, so the compile after it
+    // starts over at the arena's base: the arena then holds exactly
+    // the bodies compiled since, under a new generation.
+    FatBinary bin = compileModule(buildHmmer(WorkloadConfig{}));
+    Memory mem;
+    loadFatBinary(bin, mem);
+    GuestOs os;
+    PsrConfig cfg;
+    cfg.seed = 11;
+    cfg.jitMode = PsrConfig::JitMode::On;
+    PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
+    vm.reset();
+    (void)vm.run(500'000);
+    const jit::TraceJit &eng = vm.jitEngine();
+    ASSERT_GT(vm.jitStats().compiledTraces, 1u);
+    ASSERT_GT(eng.arenaUsed(), 0u);
+    const uint64_t gen0 = eng.arenaGeneration();
+
+    vm.reRandomize();
+    // Retirement alone moves nothing: the rewind waits for the next
+    // compile, the first safe point.
+    EXPECT_EQ(eng.arenaGeneration(), gen0);
+    const jit::JitStats before = vm.jitStats();
+    for (int i = 0; i < 100'000 &&
+                    vm.jitStats().compiledTraces == before.compiledTraces;
+         ++i) {
+        VmRunResult r = vm.run(64);
+        ASSERT_NE(r.reason, VmStop::Fault);
+        if (r.reason != VmStop::StepLimit) {
+            os.reset();
+            vm.reset();
+        }
+    }
+    const uint64_t compiled =
+        vm.jitStats().compiledTraces - before.compiledTraces;
+    const uint64_t body = vm.jitStats().codeBytes - before.codeBytes;
+    ASSERT_GE(compiled, 1u);
+    EXPECT_GT(eng.arenaGeneration(), gen0);
+    // One body (and 16-byte alignment padding between any others).
+    EXPECT_LE(eng.arenaUsed(), body + 15 * (compiled - 1));
+    expectNoWritableExecutableMapping("after a respawn rewind");
+
+    // The respawned VM keeps retiring what the block loop retires.
+    VmRunResult r = vm.run(500'000);
+    EXPECT_NE(r.reason, VmStop::Fault);
+    EXPECT_EQ(vm.jitStats().bailouts, 0u);
+}
+
+TEST(JitSmoke, ServingRunKeepsEveryMappingWxStrict)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // A full serving run with crash probes (so workers respawn and
+    // their arenas rewind): between scheduler rounds no mapping of
+    // the process may be writable and executable at once.
+    WorkloadConfig wcfg;
+    wcfg.scale = 1;
+    FatBinary bin = compileModule(buildWorkload("httpd", wcfg));
+    ServerConfig cfg;
+    cfg.workers = 4;
+    cfg.requestCount = 60;
+    cfg.mix.attackFrac = 0.1;
+    cfg.mix.malformedFrac = 0.1;
+    cfg.hipstr.diversificationProbability = 1.0;
+    cfg.hipstr.psr.jitMode = PsrConfig::JitMode::On;
+    ProtectedServer server(bin, cfg);
+    server.beginRun();
+    unsigned rounds = 0;
+    while (server.stepRound()) {
+        if (++rounds % 8 == 0)
+            expectNoWritableExecutableMapping(
+                "in round " + std::to_string(rounds));
+    }
+    ServerReport report = server.finishRun();
+    expectNoWritableExecutableMapping("after the serving run");
+    EXPECT_EQ(report.requestsServed, 60u);
+    EXPECT_EQ(report.checksumMismatches, 0u);
+    EXPECT_GT(report.respawns, 0u) << "no worker respawned";
+    uint64_t compiled = 0;
+    for (const auto &w : server.workers()) {
+        for (IsaKind isa : kAllIsas)
+            compiled += w->runtime().vm(isa).jitStats().compiledTraces;
+    }
+    EXPECT_GT(compiled, 0u) << "the serving run compiled no trace";
 }
 
 } // namespace
