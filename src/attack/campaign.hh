@@ -200,10 +200,10 @@ CampaignConfig campaignConfigFor(CampaignStrategy s,
 
 /**
  * The engine. Sequential by construction: rewrite() runs inside the
- * server/fleet's sequential draw loops, observe() inside the
+ * sequential draw seam (drawRequest()), observe() inside the
  * sequential poll/dispose sections, commitRound() once per round from
- * the owner (a lone server, or the fleet for its shard-mode
- * servers).
+ * the owner (a lone server's stepRound(), or the fleet after all of
+ * its shards served the round).
  */
 class CampaignEngine
 {

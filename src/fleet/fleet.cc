@@ -46,10 +46,10 @@ ServerConfig
 shardServerConfig(const FleetConfig &cfg, unsigned k)
 {
     ServerConfig sc = cfg.server;
-    sc.shardMode = true;
-    // The shard draws nothing itself; its requestCount only sizes
-    // internal reservations, and the fleet bounds what one shard can
-    // be asked to hold.
+    // The fleet only ever drives a shard's serveRound(), so the shard
+    // draws nothing itself; its requestCount only sizes internal
+    // reservations, and the fleet bounds what one shard can be asked
+    // to hold.
     sc.requestCount = cfg.requestCount;
     // Per-shard seeds fold (fleet seed, shard id) through SplitMix64
     // so shards decorrelate but derive from nothing else — the
@@ -76,9 +76,6 @@ shardServerConfig(const FleetConfig &cfg, unsigned k)
     // order — the permuteShardStep invariance root).
     sc.campaign = cfg.campaign;
     sc.campaignShard = k;
-    // onComplete/onRetry are wired by the ProtectedFleet constructor.
-    sc.onComplete = nullptr;
-    sc.onRetry = nullptr;
     return sc;
 }
 
@@ -114,8 +111,6 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
               });
 
     _queues.resize(cfg.shards);
-    _completed.resize(cfg.shards);
-    _retried.resize(cfg.shards);
     _disposed.assign(cfg.requestCount, 0);
     // Every shard serves the same binary: one reference run covers
     // them all.
@@ -123,15 +118,8 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
         ? ProtectedServer::referenceChecksum(bin)
         : 0;
     for (unsigned k = 0; k < cfg.shards; ++k) {
-        ServerConfig sc = shardServerConfig(cfg, k);
-        sc.onComplete = [this, k](const Request &r, uint64_t lat) {
-            _completed[k].emplace_back(r, lat);
-        };
-        sc.onRetry = [this, k](const Request &r) {
-            _retried[k].push_back(r);
-        };
-        _shards.push_back(
-            std::make_unique<ProtectedServer>(bin, sc, expected));
+        _shards.push_back(std::make_unique<ProtectedServer>(
+            bin, shardServerConfig(cfg, k), expected));
         _lat.push_back(std::make_unique<telemetry::HistogramMetric>(
             "fleet.latency", 1, kLatencyBins));
     }
@@ -281,20 +269,9 @@ ProtectedFleet::ingestRound()
         uint64_t id = _nextId++;
         const uint64_t session = sessionOf(id);
         const uint32_t home = shardOf(session);
-        Request r;
-        // Record/replay seam, mirroring the single server's: a
-        // replayer supplies the journaled request, a recorder logs
-        // the live draw. The campaign rewrites between draw and
-        // journal, so recordings carry the probes.
-        if (_cfg.tap == nullptr || !_cfg.tap->supplyRequest(id, r)) {
-            r = _stream.make(id);
-            if (_cfg.campaign != nullptr)
-                _cfg.campaign->rewrite(r, home, session, _roundNo);
-            if (_cfg.tap != nullptr)
-                _cfg.tap->requestDrawn(r);
-        }
         Pending p;
-        p.req = r;
+        p.req = drawRequest(id, _stream, _cfg.tap, _cfg.campaign, home,
+                            session, _roundNo);
         p.session = session;
         p.home = home;
         p.arrival = _roundNo;
@@ -367,8 +344,8 @@ void
 ProtectedFleet::finishShardFold(unsigned k)
 {
     using telemetry::TraceCategory;
-    for (const auto &done : _completed[k]) {
-        const Request &r = done.first;
+    const ProtectedServer::RoundOutcome &round = _shards[k]->lastRound();
+    for (const Request &r : round.completed) {
         auto it = _inflight.find(r.id);
         if (it == _inflight.end()) {
             hipstr_fatal("shard %u completed unknown request %llu",
@@ -382,9 +359,8 @@ ProtectedFleet::finishShardFold(unsigned k)
         _report.maxRounds = std::max(_report.maxRounds, lat);
         dispose(p, k, FleetOutcome::Served, lat);
     }
-    _completed[k].clear();
 
-    for (const Request &r : _retried[k]) {
+    for (const Request &r : round.retried) {
         auto it = _inflight.find(r.id);
         if (it == _inflight.end()) {
             hipstr_fatal("shard %u retried unknown request %llu",
@@ -409,7 +385,6 @@ ProtectedFleet::finishShardFold(unsigned k)
                     .arg("retries", r.retries));
         }
     }
-    _retried[k].clear();
 }
 
 uint64_t
@@ -476,7 +451,7 @@ ProtectedFleet::run(ThreadPool *pool)
             for (size_t i = 0; i < n; ++i) {
                 Pending p = _queues[k].front();
                 _queues[k].pop_front();
-                _shards[k]->submitExternal(p.req);
+                _shards[k]->submit(p.req);
                 _inflight.emplace(p.req.id, p);
             }
         }
@@ -488,7 +463,7 @@ ProtectedFleet::run(ThreadPool *pool)
             unsigned k = _cfg.permuteShardStep
                 ? static_cast<unsigned>((i + _roundNo) % _cfg.shards)
                 : i;
-            _shards[k]->stepRound(pool);
+            _shards[k]->serveRound(pool);
         }
         ++_roundNo;
 

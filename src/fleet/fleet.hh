@@ -75,9 +75,9 @@ struct FleetConfig
     unsigned shards = 4;
 
     /**
-     * Per-shard server template. The fleet overrides the shard-mode
-     * plumbing (shardMode, callbacks, tap) and derives per-shard
-     * seeds; everything else — workers, CMP shape, mix-independent
+     * Per-shard server template. The fleet overrides the observer and
+     * campaign plumbing (tap, metrics, campaign channel) and derives
+     * per-shard seeds; everything else — workers, CMP shape, mix-independent
      * knobs, supervisor policy, fault rates — applies to every shard
      * identically. The template's own requestCount/seed/mix are not
      * used for request generation (the fleet stream below is).
@@ -143,18 +143,19 @@ struct FleetConfig
      * replaying), every shard reports probe outcomes on its channel,
      * and the fleet commits the round in shard-index order after all
      * shards stepped — so campaign decisions are invariant under
-     * permuteShardStep. Not owned, and not part of fleetConfigHash.
+     * permuteShardStep. Not owned, and not part of the config hash a
+     * journal records.
      */
     attack::CampaignEngine *campaign = nullptr;
 };
 
 /**
- * The k-th shard's derived ServerConfig: shard mode on, per-shard
- * seeds folded from (fleet seed, k), observers rewired. The single
+ * The k-th shard's derived ServerConfig: per-shard seeds folded from
+ * (fleet seed, k), observers rewired, campaign channel k. The single
  * source of truth shared by the fleet constructor and the replay
  * layer (which must decorate the exact fault config shard k runs).
- * The completion/retry callbacks are not set here — the fleet wires
- * its own.
+ * The fleet drives each shard through submit() and serveRound() and
+ * reads its lastRound(); it never calls the shard's stepRound().
  */
 ServerConfig shardServerConfig(const FleetConfig &cfg, unsigned k);
 
@@ -307,11 +308,6 @@ class ProtectedFleet
     uint64_t _nextId = 0;
     uint64_t _roundNo = 0;
     bool _ran = false;
-    /** @} */
-
-    /** Per-round shard callback capture, folded in index order. @{ */
-    std::vector<std::vector<std::pair<Request, uint64_t>>> _completed;
-    std::vector<std::vector<Request>> _retried;
     /** @} */
 
     /** Accounting. @{ */

@@ -226,14 +226,20 @@ class ReplayFaultPlan : public FaultPlan
     uint32_t _coreBase;
 };
 
-} // namespace
-
 // ---------------------------------------------------------------
 // Config hashing.
 // ---------------------------------------------------------------
 
+/**
+ * Behavioural hash of a ServerConfig: every knob that affects what a
+ * run does. A journal records the hash of the config it was captured
+ * under; replaying against a different one fails fast with
+ * ConfigMismatch instead of diverging mysteriously mid-run. @p shard
+ * says whether the config is a fleet shard's, whose serve rounds the
+ * fleet drives, or a lone server's, which draws its own stream.
+ */
 uint64_t
-serverConfigHash(const ServerConfig &cfg)
+serverConfigHash(const ServerConfig &cfg, bool shard)
 {
     // Serialize every behavioural knob, then FNV-1a the bytes.
     // Observer pointers (trace, metrics, tap, faultPlanOverride) are
@@ -295,12 +301,18 @@ serverConfigHash(const ServerConfig &cfg)
     w.u64(cfg.faults.scriptedOutageRound);
     w.u32(cfg.faults.scriptedOutageRounds);
     w.u32(cfg.watchdogQuanta);
-    // Shard mode changes the serve loop (no stream draws, external
-    // intake) even though the callbacks themselves are output-only.
-    w.boolean(cfg.shardMode);
+    w.boolean(shard);
     return fnv1a(w);
 }
 
+/**
+ * Behavioural hash of a FleetConfig: every derived shard config's
+ * hash plus the balancer knobs (session count, ring shape, queue
+ * bound, SLO, batch size, stealing). Observers — trace/metrics/tap,
+ * keepOutcomes, metricsPrefix — and the interleaving-only
+ * permuteShardStep knob are excluded: a journal recorded with one
+ * shard-step order must replay under any other.
+ */
 uint64_t
 fleetConfigHash(const FleetConfig &cfg)
 {
@@ -329,16 +341,13 @@ fleetConfigHash(const FleetConfig &cfg)
     // excluded observer), so a recording config and a replay config
     // carrying different decorators still hash the same — by design.
     for (unsigned k = 0; k < cfg.shards; ++k)
-        w.u64(serverConfigHash(shardServerConfig(cfg, k)));
+        w.u64(serverConfigHash(shardServerConfig(cfg, k), true));
     return fnv1a(w);
 }
 
 // ---------------------------------------------------------------
 // Recording.
 // ---------------------------------------------------------------
-
-namespace
-{
 
 /**
  * The recorder tap: buffers one round's draws and flushes every
@@ -465,7 +474,7 @@ recordRun(const FatBinary &bin, const ServerConfig &cfg,
           const std::string &path, ThreadPool *pool,
           const RecordOptions &opts)
 {
-    Recorder rec(path, serverConfigHash(cfg), shardsOf(cfg));
+    Recorder rec(path, serverConfigHash(cfg, false), shardsOf(cfg));
     ServerConfig rcfg = cfg;
     rcfg.tap = &rec;
     std::vector<const FaultPlan *> plans = rec.plans();
@@ -646,7 +655,7 @@ ReplayResult
 drive(const FatBinary &bin, const ServerConfig &cfg,
       const std::string &path, uint64_t fromRound, ThreadPool *pool)
 {
-    Replayer rep(path, serverConfigHash(cfg), shardsOf(cfg));
+    Replayer rep(path, serverConfigHash(cfg, false), shardsOf(cfg));
     ServerConfig rcfg = cfg;
     // The journal already carries every campaign rewrite; replaying
     // with a live engine attached would double-feed it observations.

@@ -39,25 +39,6 @@ namespace hipstr
 namespace replay
 {
 
-/**
- * Behavioural hash of a ServerConfig: every knob that affects what a
- * run does (pointer-valued observers — trace, metrics, tap — are
- * excluded). A journal records the hash of the config it was captured
- * under; replaying against a different one fails fast with
- * ConfigMismatch instead of diverging mysteriously mid-run.
- */
-uint64_t serverConfigHash(const ServerConfig &cfg);
-
-/**
- * Behavioural hash of a FleetConfig: every derived shard config's
- * serverConfigHash plus the balancer knobs (session count, ring
- * shape, queue bound, SLO, batch size, stealing). Observers —
- * trace/metrics/tap, keepOutcomes, metricsPrefix — and the
- * interleaving-only permuteShardStep knob are excluded: a journal
- * recorded with one shard-step order must replay under any other.
- */
-uint64_t fleetConfigHash(const FleetConfig &cfg);
-
 /** Recording knobs. */
 struct RecordOptions
 {

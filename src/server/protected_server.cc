@@ -124,17 +124,28 @@ ProtectedServer::beginRun()
         st.usPerRound = double(_cfg.sched.quantumInsts) *
             double(_cmp.totalCores()) / agg * 1e6;
     }
-    // A shard cannot account for its requests alone: the fleet owns
-    // arrival times, routing, and re-routing after worker loss.
-    if (_cfg.shardMode)
-        hipstr_assert(_cfg.onComplete && _cfg.onRetry);
-
     st.begun = true;
     _serve = std::move(st);
 
     // Degraded-mode gauge for dashboards.
     if (_cfg.metrics != nullptr)
         _cfg.metrics->gauge("server.degraded_mode").set(0);
+}
+
+Request
+drawRequest(uint64_t id, const RequestStream &stream, ServerTap *tap,
+            attack::CampaignEngine *campaign, uint32_t shard,
+            uint64_t session, uint64_t round)
+{
+    Request r;
+    if (tap != nullptr && tap->supplyRequest(id, r))
+        return r;
+    r = stream.make(id);
+    if (campaign != nullptr)
+        campaign->rewrite(r, shard, session, round);
+    if (tap != nullptr)
+        tap->requestDrawn(r);
+    return r;
 }
 
 bool
@@ -144,51 +155,77 @@ ProtectedServer::stepRound(ThreadPool *pool)
     hipstr_assert(st.begun);
     if (st.finished)
         return false;
-    if ((!_cfg.shardMode && st.done >= _cfg.requestCount) ||
-        st.roundNo >= kMaxRounds) {
+    if (st.done >= _cfg.requestCount || st.roundNo >= kMaxRounds) {
         st.finished = true;
         return false;
     }
+
+    // Fill the idle workers the retries leave over from the stream.
+    const unsigned idle = admissionCapacity();
+    while (st.intake.size() < idle && st.nextId < _cfg.requestCount) {
+        const uint64_t id = st.nextId++;
+        st.intake.push_back(drawRequest(id, _stream, _cfg.tap,
+                                        _cfg.campaign,
+                                        _cfg.campaignShard, 0,
+                                        st.roundNo));
+    }
+
+    // Nothing runnable now or parked for later, and nothing to
+    // assign: either all requests are done, or the remaining ones
+    // cannot be served (every worker retired).
+    if (_sched.idle() && !_sched.hasConvalescents() &&
+        (liveWorkers() == 0 ||
+         (st.intake.empty() && st.nextId >= _cfg.requestCount))) {
+        st.finished = true;
+        return false;
+    }
+
+    serveRound(pool);
+
+    // A retired worker's request goes back to the head of the intake
+    // for another worker.
+    for (const Request &r : _round.retried)
+        st.intake.push_front(r);
+    // All workers gone: the remaining stream is unservable.
+    if (st.finished)
+        st.report.requestsAbandoned = _cfg.requestCount - st.done;
+
+    // Commit the campaign's buffered observations once per round.
+    if (_cfg.campaign != nullptr)
+        _cfg.campaign->commitRound(st.roundNo);
+
+    // The round completed (even if it finished the run) — let a
+    // recorder flush its per-round journal records and sync point.
+    if (_cfg.tap != nullptr)
+        _cfg.tap->roundEnd(st.roundNo, roundSyncSignature());
+
+    return !st.finished;
+}
+
+void
+ProtectedServer::serveRound(ThreadPool *pool)
+{
+    ServeState &st = _serve;
+    hipstr_assert(st.begun);
+    _round.completed.clear();
+    _round.retried.clear();
+    if (st.finished)
+        return;
 
     using telemetry::TraceCategory;
     telemetry::TraceBuffer *tr = _cfg.trace;
     const bool traced = st.traced;
     const double us_per_round = st.usPerRound;
 
-    // ---- Assign requests to idle workers in pid order. ----
-    for (size_t w = 0; w < _workers.size(); ++w) {
+    // ---- Assign intake to idle workers in pid order. ----
+    for (size_t w = 0; w < _workers.size() && !st.intake.empty(); ++w) {
         GuestProcess &proc = *_workers[w];
         if (st.retired[w] || st.inflight[w].active ||
             proc.state() != ProcState::Blocked) {
             continue;
         }
-        Request r;
-        if (!st.requeue.empty()) {
-            // Internal requeue (retired-worker retries), or — in
-            // shard mode — the external intake submitExternal() fed.
-            r = st.requeue.front();
-            st.requeue.pop_front();
-        } else if (!_cfg.shardMode && st.nextId < _cfg.requestCount) {
-            uint64_t id = st.nextId++;
-            // Record/replay seam: a replayer supplies the journaled
-            // request; the live stream (a pure function of id) is
-            // drawn otherwise and offered to a recorder.
-            if (_cfg.tap == nullptr ||
-                !_cfg.tap->supplyRequest(id, r)) {
-                r = _stream.make(id);
-                // Adaptive campaign seam: the attacker may turn its
-                // share of the fresh stream into probes — before the
-                // tap journals the draw, so a recording carries the
-                // probes and replays bit-exactly with no engine.
-                if (_cfg.campaign != nullptr)
-                    _cfg.campaign->rewrite(r, _cfg.campaignShard, 0,
-                                           st.roundNo);
-                if (_cfg.tap != nullptr)
-                    _cfg.tap->requestDrawn(r);
-            }
-        } else {
-            continue;
-        }
+        const Request r = st.intake.front();
+        st.intake.pop_front();
         proc.beginService(r.costInsts);
         // Stage the request's payload only on first delivery — a
         // retried request already burned its exploit.
@@ -218,21 +255,6 @@ ProtectedServer::stepRound(ThreadPool *pool)
                     .arg("kind", static_cast<uint64_t>(r.kind))
                     .arg("cost_insts", r.costInsts)
                     .arg("retries", r.retries));
-        }
-    }
-
-    if (!_cfg.shardMode && _sched.idle() &&
-        !_sched.hasConvalescents()) {
-        // Nothing runnable now or parked for later: either all
-        // requests are done, or the remaining ones cannot be
-        // served (every worker retired).
-        bool any_alive = false;
-        for (size_t w = 0; w < _workers.size(); ++w)
-            any_alive = any_alive || !st.retired[w];
-        if (!any_alive || (st.requeue.empty() &&
-                           st.nextId >= _cfg.requestCount)) {
-            st.finished = true;
-            return false;
         }
     }
 
@@ -322,8 +344,7 @@ ProtectedServer::stepRound(ThreadPool *pool)
             }
             st.inflight[w].active = false;
             ++st.done;
-            if (_cfg.shardMode)
-                _cfg.onComplete(r, lat);
+            _round.completed.push_back(r);
         } else if (proc.state() == ProcState::Crashed) {
             // The campaign sees every crash as a connection reset,
             // exactly once per service attempt (the worker stays
@@ -348,18 +369,12 @@ ProtectedServer::stepRound(ThreadPool *pool)
             // Still Crashed after the scheduler round *and*
             // permanently retired (a worker merely parked in the
             // supervisor's infirmary keeps its request and will
-            // finish it after respawning). The retired worker's
-            // request goes back to the head of the queue for
-            // another worker.
+            // finish it after respawning). The owner re-routes the
+            // retired worker's request.
             st.retired[w] = true;
             Request r = st.inflight[w].req;
             ++r.retries;
-            // Shard mode: the fleet re-routes (possibly to another
-            // shard); the internal requeue is only for a lone server.
-            if (_cfg.shardMode)
-                _cfg.onRetry(r);
-            else
-                st.requeue.push_front(r);
+            _round.retried.push_back(r);
             st.inflight[w].active = false;
             if (traced) {
                 tr->record(
@@ -374,30 +389,9 @@ ProtectedServer::stepRound(ThreadPool *pool)
         }
     }
 
-    // All workers gone: the remaining stream is unservable. In shard
-    // mode the fleet does the abandonment accounting (it holds the
-    // queued requests); the shard just stops stepping.
-    bool any_alive = false;
-    for (size_t w = 0; w < _workers.size(); ++w)
-        any_alive = any_alive || !st.retired[w];
-    if (!any_alive) {
-        if (!_cfg.shardMode)
-            st.report.requestsAbandoned = _cfg.requestCount - st.done;
+    // Every worker retired: nothing will ever step again.
+    if (liveWorkers() == 0)
         st.finished = true;
-    }
-
-    // Commit the campaign's buffered observations once per round —
-    // only for a lone server (the fleet commits for its shards, in
-    // shard-index order, after all of them stepped).
-    if (_cfg.campaign != nullptr && !_cfg.shardMode)
-        _cfg.campaign->commitRound(st.roundNo);
-
-    // The round completed (even if it finished the run) — let a
-    // recorder flush its per-round journal records and sync point.
-    if (_cfg.tap != nullptr)
-        _cfg.tap->roundEnd(st.roundNo, roundSyncSignature());
-
-    return !st.finished;
 }
 
 ServerReport
@@ -526,9 +520,6 @@ ProtectedServer::finishRun()
 ServerReport
 ProtectedServer::run(ThreadPool *pool)
 {
-    // A shard never finishes on its own (no stream, no requestCount
-    // stop) — only the fleet's step loop may drive it.
-    hipstr_assert(!_cfg.shardMode);
     beginRun();
     while (stepRound(pool)) {
     }
@@ -536,10 +527,10 @@ ProtectedServer::run(ThreadPool *pool)
 }
 
 void
-ProtectedServer::submitExternal(const Request &r)
+ProtectedServer::submit(const Request &r)
 {
-    hipstr_assert(_cfg.shardMode && _serve.begun);
-    _serve.requeue.push_back(r);
+    hipstr_assert(_serve.begun);
+    _serve.intake.push_back(r);
 }
 
 unsigned
@@ -602,8 +593,8 @@ ProtectedServer::saveCheckpoint(ByteWriter &w) const
     }
     for (size_t i = 0; i < st.retired.size(); ++i)
         w.boolean(st.retired[i]);
-    w.u32(uint32_t(st.requeue.size()));
-    for (const Request &r : st.requeue)
+    w.u32(uint32_t(st.intake.size()));
+    for (const Request &r : st.intake)
         saveRequest(w, r);
     w.u64(st.nextId);
     w.u64(uint64_t(st.latencies.size()));
@@ -653,10 +644,10 @@ ProtectedServer::loadCheckpoint(ByteReader &r)
     st.retired.assign(_workers.size(), false);
     for (size_t i = 0; i < st.retired.size(); ++i)
         st.retired[i] = r.boolean();
-    st.requeue.clear();
+    st.intake.clear();
     uint32_t queued = r.u32();
     for (uint32_t i = 0; i < queued; ++i)
-        st.requeue.push_back(loadRequest(r));
+        st.intake.push_back(loadRequest(r));
     st.nextId = r.u64();
     st.latencies.clear();
     uint64_t lats = r.u64();

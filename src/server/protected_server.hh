@@ -13,7 +13,6 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,24 +146,6 @@ struct ServerConfig
     const FaultPlan *faultPlanOverride = nullptr;
 
     /**
-     * Shard mode (src/fleet): the server is one shard behind the
-     * fleet balancer and serves externally submitted requests only.
-     * stepRound() draws nothing from its own stream and never
-     * self-finishes on requestCount — the owner decides when the run
-     * is over. Completions and retired-worker retries are handed to
-     * the callbacks below instead of the internal requeue, so the
-     * fleet gets full per-request accounting. Both callbacks must be
-     * set when shardMode is true.
-     */
-    bool shardMode = false;
-    /** Shard mode: a request finished after @p latency rounds inside
-     *  this shard. */
-    std::function<void(const Request &, uint64_t latency)> onComplete;
-    /** Shard mode: a worker retired mid-service; its request (retries
-     *  already incremented) goes back to the fleet for re-routing. */
-    std::function<void(const Request &)> onRetry;
-
-    /**
      * Adaptive adversary campaign (src/attack/campaign.hh), or
      * nullptr for an unattacked server. The engine rewrites freshly
      * drawn requests into probes *before* the tap journals them (a
@@ -174,12 +155,24 @@ struct ServerConfig
      */
     attack::CampaignEngine *campaign = nullptr;
     /** Shard id this server reports on the campaign's outcome
-     *  channel (the fleet sets it; 0 for a lone server). A lone
-     *  server commits the campaign's rounds itself; a shard never
-     *  does — the fleet commits once per fleet round, in shard-index
-     *  order, the invariance root under permuteShardStep. */
+     *  channel (the fleet sets it; 0 for a lone server). stepRound()
+     *  commits the campaign's rounds; serveRound() never does — the
+     *  fleet commits once per fleet round, in shard-index order, the
+     *  invariance root under permuteShardStep. */
     uint32_t campaignShard = 0;
 };
+
+/**
+ * The request-draw seam, shared by the lone server and the fleet's
+ * ingest. A tap may supply request @p id (a replayer answers from its
+ * journal); otherwise it is drawn from @p stream, @p campaign (when
+ * non-null) may rewrite it into a probe aimed at @p shard, and only
+ * then is it offered to the tap — so a recording carries the probes
+ * and replays bit-exactly with no engine attached.
+ */
+Request drawRequest(uint64_t id, const RequestStream &stream,
+                    ServerTap *tap, attack::CampaignEngine *campaign,
+                    uint32_t shard, uint64_t session, uint64_t round);
 
 /** Latency distribution in scheduler rounds. */
 struct LatencySummary
@@ -289,13 +282,15 @@ class ProtectedServer
      * introspection server) can pause between rounds, checkpoint, or
      * single-step. @{
      */
-    /** Initialize the serve loop. Call once before stepRound(). */
+    /** Initialize the serve loop. Call once before stepping. */
     void beginRun();
     /**
-     * Advance one round: assign requests, run one scheduler round,
-     * poll outcomes. Returns false when the run is over (all requests
-     * served, stream abandoned, or the round cap hit) — finishRun()
-     * then produces the report.
+     * Advance the lone server one round: fill idle workers from its
+     * own stream (behind any retries), serveRound(), put the round's
+     * retries back at the intake head, commit the campaign round and
+     * end the round on the tap. Returns false when the run is over
+     * (all requests served, stream abandoned, or the round cap hit) —
+     * finishRun() then produces the report.
      */
     bool stepRound(ThreadPool *pool = nullptr);
     /** Aggregate and return the report of the stepped run. */
@@ -306,17 +301,29 @@ class ProtectedServer
     uint64_t roundNumber() const { return _serve.roundNo; }
 
     /**
-     * Shard-facing surface (shardMode; see ServerConfig). @{
+     * The serve round under stepRound(), which the fleet drives
+     * directly for each of its shards. @{
      */
+    /** Queue @p r at the intake tail for the next serveRound(). */
+    void submit(const Request &r);
     /**
-     * Submit one externally routed request. Queued at the shard's
-     * intake tail; the next stepRound() assigns intake to idle
-     * workers in pid order. Submitting more than admissionCapacity()
-     * requests between rounds is allowed but leaves the excess queued
-     * — the fleet's bounded admission queues avoid that by never
-     * over-submitting.
+     * One round: assign intake to idle workers in pid order, run one
+     * scheduler round, poll outcomes in pid order into lastRound().
+     * Draws nothing, commits nothing and calls no tap. Once every
+     * worker is retired the round is a no-op.
      */
-    void submitExternal(const Request &r);
+    void serveRound(ThreadPool *pool = nullptr);
+
+    /** What the last serveRound() handed back, pid order. */
+    struct RoundOutcome
+    {
+        std::vector<Request> completed;
+        /** Requests of workers retired mid-service, retries already
+         *  incremented; the owner re-routes them. */
+        std::vector<Request> retried;
+    };
+    const RoundOutcome &lastRound() const { return _round; }
+
     /** Workers that would accept a request next round: not retired,
      *  no request in flight, process Blocked awaiting service. */
     unsigned admissionCapacity() const;
@@ -335,7 +342,7 @@ class ProtectedServer
 
     /**
      * Checkpoint the complete server mid-run (between rounds): the
-     * serve-loop state (in-flight requests, requeue, latency samples,
+     * serve-loop state (in-flight requests, intake, latency samples,
      * report signature accumulator), the scheduler (queues, outage
      * and infirmary state), and every worker process. Restore into a
      * server constructed from the identical (FatBinary, ServerConfig)
@@ -389,7 +396,8 @@ class ProtectedServer
         ServerReport report; ///< served/abandoned counters accrue here
         std::vector<InFlight> inflight;
         std::vector<bool> retired;
-        std::deque<Request> requeue; ///< from retired workers
+        /** Retries at the head, then submitted requests. */
+        std::deque<Request> intake;
         uint64_t nextId = 0;
         std::vector<uint64_t> latencies;
         uint64_t sig = kFnvOffsetBasis;
@@ -413,6 +421,7 @@ class ProtectedServer
     std::unique_ptr<FaultPlan> _plan;
     std::vector<std::unique_ptr<GuestProcess>> _workers;
     ServeState _serve;
+    RoundOutcome _round;
 };
 
 } // namespace hipstr
