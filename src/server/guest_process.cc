@@ -16,6 +16,10 @@ namespace hipstr
 namespace
 {
 
+/** A page of zeros: the globals' zero tail, and the checkpoint's
+ *  zero-page test. */
+constexpr std::array<uint8_t, Memory::kPageBytes> kZeroPage{};
+
 /** Scratch area for staged hijacks, inside the guest stack region. */
 constexpr Addr kHijackSp = layout::kStackTop - 0x8000;
 
@@ -253,6 +257,20 @@ void
 GuestProcess::restartProgram()
 {
     foldSummary();
+    // The next generation starts from the image's globals, as the
+    // loader left them: the initialized bytes, then zeros up to
+    // dataSize. Otherwise a global the program reads before writing
+    // keeps the last generation's value (httpd's POST handler sends
+    // its response buffer unwritten). Raw writes only mark pages
+    // dirty, so no cached JIT write window goes stale.
+    const Addr base = layout::kGlobalsBase;
+    _mem.rawWriteBytes(base, _bin.data.data(), _bin.data.size());
+    for (size_t off = _bin.data.size(); off < _bin.dataSize;) {
+        const size_t n =
+            std::min<size_t>(kZeroPage.size(), _bin.dataSize - off);
+        _mem.rawWriteBytes(base + off, kZeroPage.data(), n);
+        off += n;
+    }
     _os.reset();
     _runtime->reset();
     _tainted = false;
@@ -484,7 +502,6 @@ GuestProcess::saveState(ByteWriter &w) const
     constexpr uint32_t kPage = Memory::kPageBytes;
     constexpr Addr lo = layout::kDataBase;
     constexpr Addr hi = layout::kStackTop;
-    static constexpr std::array<uint8_t, kPage> kZeroPage{};
     const uint8_t *bytes = _mem.data();
     for (Addr page = lo; page < hi; page += kPage) {
         if (!_mem.pageDirty(page))

@@ -372,6 +372,30 @@ TEST(ProtectedServer, DeterministicAcrossHostThreadCounts)
     EXPECT_EQ(r1.latency.p95Rounds, r2.latency.p95Rounds);
 }
 
+// A worker whose program exits restarts it from the image's globals.
+// httpd's POST handler never writes its response buffer, so a program
+// run that opens with a POST sends whatever the buffer holds. With
+// data seed 5, a restart that kept the last generation's globals
+// mismatched 43 of 51 program runs on a server with no faults and no
+// attacks.
+TEST(ProtectedServer, RestartedProgramReloadsItsGlobals)
+{
+    WorkloadConfig wcfg;
+    wcfg.seed = 5;
+    const FatBinary bin = compileModule(buildWorkload("httpd", wcfg));
+    ServerConfig cfg;
+    cfg.requestCount = 120;
+    ASSERT_FALSE(cfg.faults.enabled);
+    ASSERT_EQ(cfg.mix.attackFrac, 0.0);
+    ASSERT_EQ(cfg.mix.malformedFrac, 0.0);
+
+    ProtectedServer server(bin, cfg);
+    ServerReport r = server.run();
+    EXPECT_EQ(r.requestsServed, cfg.requestCount);
+    EXPECT_GT(r.programsCompleted, 1u);
+    EXPECT_EQ(r.checksumMismatches, 0u);
+}
+
 // Identical configurations must give identical per-process behaviour;
 // different pids must not (independent randomization per tenant).
 TEST(GuestProcess, SeedingIsPerPidAndReproducible)
