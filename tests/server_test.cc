@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "server/protected_server.hh"
@@ -32,6 +34,16 @@ httpdBin()
         return compileModule(buildWorkload("httpd", wcfg));
     }();
     return bin;
+}
+
+uint64_t
+traceArg(const telemetry::TraceEvent &ev, const char *key)
+{
+    for (uint32_t i = 0; i < ev.nargs; ++i)
+        if (std::strcmp(ev.args[i].first, key) == 0)
+            return ev.args[i].second;
+    ADD_FAILURE() << ev.name << " has no arg " << key;
+    return 0;
 }
 
 GuestProcessConfig
@@ -370,6 +382,53 @@ TEST(ProtectedServer, DeterministicAcrossHostThreadCounts)
     EXPECT_EQ(r1.respawns, r2.respawns);
     EXPECT_EQ(r1.totalGuestInsts, r2.totalGuestInsts);
     EXPECT_EQ(r1.latency.p95Rounds, r2.latency.p95Rounds);
+}
+
+// A retired worker's request goes back to the head of the intake,
+// ahead of retries already waiting there, and one round's retries,
+// polled in pid order, leave the highest pid's request first. The
+// Server trace shows every retry and assignment in order; replaying
+// it against that model of the intake must match each assignment.
+TEST(ProtectedServer, RetriesRequeueAtTheIntakeHead)
+{
+    ServerConfig cfg;
+    cfg.workers = 24;
+    cfg.requestCount = 400;
+    cfg.mix.malformedFrac = 0.5;
+    cfg.sched.respawnLimit = 1;
+    telemetry::TraceBuffer trace(1 << 16);
+    trace.setMask(telemetry::categoryBit(telemetry::TraceCategory::Server));
+    cfg.trace = &trace;
+    ProtectedServer server(httpdBin(), cfg);
+    ServerReport r = server.run();
+    ASSERT_EQ(trace.dropped(), 0u);
+    EXPECT_EQ(r.retiredWorkers, cfg.workers);
+
+    std::deque<uint64_t> intake; // retried ids, head first
+    unsigned queuedBehind = 0, sameRound = 0;
+    double lastRetryTs = -1;
+    for (const telemetry::TraceEvent &ev : trace.snapshot()) {
+        const std::string name = ev.name;
+        if (name == "server.request.retry") {
+            queuedBehind += intake.empty() ? 0 : 1;
+            sameRound += ev.ts == lastRetryTs ? 1 : 0;
+            lastRetryTs = ev.ts;
+            intake.push_front(traceArg(ev, "id"));
+        } else if (name == "server.request.assign") {
+            if (traceArg(ev, "retries") == 0) {
+                EXPECT_TRUE(intake.empty())
+                    << "fresh request " << traceArg(ev, "id")
+                    << " assigned ahead of a retry";
+                continue;
+            }
+            ASSERT_FALSE(intake.empty());
+            EXPECT_EQ(traceArg(ev, "id"), intake.front());
+            intake.pop_front();
+        }
+    }
+    // The run exercised both orders the model pins.
+    EXPECT_GT(queuedBehind, 0u);
+    EXPECT_GT(sameRound, 0u);
 }
 
 // A worker whose program exits restarts it from the image's globals.
