@@ -75,12 +75,13 @@ struct FleetConfig
     unsigned shards = 4;
 
     /**
-     * Per-shard server template. The fleet overrides the observer and
-     * campaign plumbing (tap, metrics, campaign channel) and derives
-     * per-shard seeds; everything else — workers, CMP shape, mix-independent
-     * knobs, supervisor policy, fault rates — applies to every shard
-     * identically. The template's own requestCount/seed/mix are not
-     * used for request generation (the fleet stream below is).
+     * Per-shard server template. The fleet rewires the observers
+     * (trace, metrics, tap, fault-plan override) and the campaign
+     * channel and derives per-shard seeds; everything else — workers,
+     * CMP shape, mix-independent knobs, supervisor policy, fault
+     * rates — applies to every shard identically. The template's own
+     * requestCount/seed/mix are not used for request generation (the
+     * fleet stream below is).
      */
     ServerConfig server;
 

@@ -304,7 +304,11 @@ class ProtectedServer
      * The serve round under stepRound(), which the fleet drives
      * directly for each of its shards. @{
      */
-    /** Queue @p r at the intake tail for the next serveRound(). */
+    /**
+     * Queue @p r at the intake tail for the next serveRound().
+     * Submitting more than admissionCapacity() requests between
+     * rounds leaves the excess queued; the fleet never does.
+     */
     void submit(const Request &r);
     /**
      * One round: assign intake to idle workers in pid order, run one
