@@ -37,6 +37,7 @@ struct MemCounts
  *
  *  - Mov/Movb move a value from src1 to dst; any other op reads
  *    src1/src2 and writes dst (memory operands only).
+ *  - Lea only forms its src1 address; it touches no memory.
  *  - Push writes the new top of stack on every ISA; Call/CallInd
  *    push a return address only on the Cisc ISA (the Risc ISA links
  *    through a register).
@@ -58,6 +59,8 @@ forEachMemAccess(const MachInst &mi, const MachineState &state,
                write);
         }
     };
+    if (mi.op == Op::Lea)
+        return;
     if (mi.op == Op::Mov || mi.op == Op::Movb) {
         operand(mi.src1, false);
         operand(mi.dst, true);
@@ -100,6 +103,8 @@ instMemCounts(const MachInst &mi, IsaKind isa)
                 ++c.reads;
         }
     };
+    if (mi.op == Op::Lea)
+        return c;
     if (mi.op == Op::Mov || mi.op == Op::Movb) {
         operand(mi.src1, false);
         operand(mi.dst, true);

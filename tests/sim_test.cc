@@ -11,6 +11,9 @@
 #include <algorithm>
 #include <list>
 
+#include "isa/codec.hh"
+#include "isa/interp.hh"
+#include "isa/mem_traffic.hh"
 #include "sim/cache.hh"
 #include "sim/core_config.hh"
 #include "sim/rat.hh"
@@ -152,6 +155,52 @@ TEST(Timing, MoreWorkCostsMoreCycles)
     VmStats d = a;
     d.diversificationFlips = 100;
     EXPECT_LT(h.vmCycles(a), h.vmCycles(d));
+}
+
+/**
+ * Lea forms an address and touches no memory: the traffic spec
+ * reports no access for it and counts none, and a timed native run
+ * of Lea alone charges the D-cache stream nothing, on both ISAs.
+ */
+TEST(Timing, LeaIsNoDataAccess)
+{
+    for (IsaKind isa : kAllIsas) {
+        const std::string where(isaName(isa));
+        const IsaDescriptor &d = isaDescriptor(isa);
+        const MachInst lea = MachInst::lea(d.argRegs[0], d.spReg, 64);
+        MachineState st(isa);
+        st.setSp(layout::kStackTop - 256);
+        unsigned reported = 0;
+        forEachMemAccess(lea, st, [&](Addr, bool) { ++reported; });
+        EXPECT_EQ(reported, 0u) << where;
+        const MemCounts c = instMemCounts(lea, isa);
+        EXPECT_EQ(c.reads, 0u) << where;
+        EXPECT_EQ(c.writes, 0u) << where;
+
+        Memory mem;
+        const Addr code = layout::codeBase(isa);
+        mem.setRegion(code, 0x1000, PermRX, "code");
+        mem.setRegion(layout::kStackLimit,
+                      layout::kStackTop - layout::kStackLimit, PermRW,
+                      "stack");
+        std::vector<uint8_t> bytes;
+        for (int k = 0; k < 8; ++k)
+            encodeInst(isa, lea, code + Addr(bytes.size()), bytes);
+        encodeInst(isa, MachInst::halt(), code + Addr(bytes.size()),
+                   bytes);
+        mem.rawWriteBytes(code, bytes.data(), bytes.size());
+        GuestOs os;
+        Interpreter interp(isa, mem, os);
+        interp.state.pc = code;
+        interp.state.setSp(layout::kStackTop - 256);
+        TimingHarness h(isa, /*reg_cache_on=*/true);
+        h.attachInterpreter(interp);
+        const RunResult r = interp.run(100);
+        EXPECT_EQ(r.reason, StopReason::Halted) << where;
+        EXPECT_EQ(h.snapshot().nativeInsts, 9u) << where;
+        EXPECT_EQ(h.snapshot().dcacheMisses, 0u) << where;
+        EXPECT_EQ(h.snapshot().stackCost, 0u) << where;
+    }
 }
 
 TEST(Timing, SecondsFollowFrequency)
