@@ -108,6 +108,16 @@ class TranslationContext
         _unit->exits.push_back(exit);
         return static_cast<int>(_unit->exits.size() - 1);
     }
+    /** A direct exit: everything else starts at its default. */
+    int
+    addExit(BlockExit::Kind kind, Addr target, Addr return_to = 0)
+    {
+        BlockExit exit;
+        exit.kind = kind;
+        exit.target = target;
+        exit.returnTo = return_to;
+        return addExit(exit);
+    }
     /** @} */
 
     /** Transformation pipeline. @{ */
@@ -951,9 +961,7 @@ TranslationContext::processBlock(std::vector<GuestInst> &block)
         if (mi.op == Op::Jcc) {
             if (mi.target == _unit->srcStart)
                 _unit->isLoopHead = true;
-            int idx = addExit(BlockExit{ BlockExit::Kind::Branch,
-                                         mi.target, 0, Operand(),
-                                         nullptr });
+            int idx = addExit(BlockExit::Kind::Branch, mi.target);
             MachInst jcc = MachInst::jcc(mi.cond, 0);
             emitExitInst(jcc, idx);
             continue;
@@ -970,8 +978,7 @@ TranslationContext::processBlock(std::vector<GuestInst> &block)
     // Block ended without a terminator (mid-stream garbage or length
     // cap): exit to the next guest address.
     Addr next = block.back().addr + block.back().mi.size;
-    int idx = addExit(BlockExit{ BlockExit::Kind::Branch, next, 0,
-                                 Operand(), nullptr });
+    int idx = addExit(BlockExit::Kind::Branch, next);
     emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)), idx);
     _done = true;
 }
@@ -1001,9 +1008,7 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
             _cur = mi.target;
             return; // continue translating inline
         }
-        int idx = addExit(BlockExit{ BlockExit::Kind::Branch,
-                                     mi.target, 0, Operand(),
-                                     nullptr });
+        int idx = addExit(BlockExit::Kind::Branch, mi.target);
         emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)),
                      idx);
         _done = true;
@@ -1017,10 +1022,8 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
             _bin.findFuncByAddr(_isa, mi.target);
         if (callee != nullptr)
             (void)_tr._randomizer.mapFor(callee->funcId);
-        int idx = addExit(BlockExit{ BlockExit::Kind::Call,
-                                     mi.target,
-                                     gi.addr + mi.size, Operand(),
-                                     nullptr });
+        int idx = addExit(BlockExit::Kind::Call, mi.target,
+                          gi.addr + mi.size);
         emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)),
                      idx);
         _done = true;
@@ -1055,8 +1058,7 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
         return;
 
       case Op::Halt: {
-        int idx = addExit(BlockExit{ BlockExit::Kind::Halt, 0, 0,
-                                     Operand(), nullptr });
+        int idx = addExit(BlockExit::Kind::Halt, 0);
         emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)),
                      idx);
         _done = true;
@@ -1093,9 +1095,7 @@ TranslationContext::run(TranslateError &err)
                 err = TranslateError::BadInstruction;
                 return nullptr;
             }
-            int idx = addExit(BlockExit{ BlockExit::Kind::Branch,
-                                         _cur, 0, Operand(),
-                                         nullptr });
+            int idx = addExit(BlockExit::Kind::Branch, _cur);
             emitExitInst(
                 MachInst::vmExit(static_cast<uint32_t>(idx)), idx);
             break;

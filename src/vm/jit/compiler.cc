@@ -128,7 +128,8 @@ regUse(TraceH h)
 
 /**
  * The compiler proper: one instance per compileTrace call. Holds the
- * allocation map, the per-op label tables, and the compile-time
+ * allocation map, the per-op label tables (in the caller's
+ * CompileScratch), and the compile-time
  * EFLAGS-liveness bit used to turn Cmp+Jcc pairs into native
  * compare-and-branch without a state.flags round trip.
  */
@@ -136,9 +137,14 @@ class TraceCompiler
 {
   public:
     TraceCompiler(const SuperTrace &tr, const CompileLayout &lay,
-                  Emitter &em)
-        : _tr(tr), _lay(lay), _em(em)
+                  Emitter &em, CompileScratch &scratch)
+        : _tr(tr), _lay(lay), _em(em), _allocated(scratch.allocated),
+          _opLabel(scratch.opLabel), _exitBlobs(scratch.exitBlobs),
+          _missBlobs(scratch.missBlobs)
     {
+        _allocated.clear();
+        _exitBlobs.clear();
+        _missBlobs.clear();
     }
 
     bool compile();
@@ -149,29 +155,17 @@ class TraceCompiler
     Emitter &_em;
 
     std::array<uint8_t, 16> _hostOf{}; ///< guest -> host or kNoHostReg
-    std::vector<uint8_t> _allocated;   ///< guest regs with a host reg
-    std::vector<int> _opLabel;         ///< label per op (-1 if none)
+    std::vector<uint8_t> &_allocated;  ///< guest regs with a host reg
+    std::vector<int> &_opLabel;        ///< label per op (-1 if none)
     int _epilogue = -1;
     int _sharedSlow = -1;
     bool _needSlow = false;
     bool _eflagsLive = false; ///< EFLAGS hold the last guest Cmp/Test
 
-    /** Deferred out-of-line exit blob. */
-    struct ExitBlob
-    {
-        int label;
-        uint32_t code;
-        uint32_t opIdx;
-    };
-    std::vector<ExitBlob> _exitBlobs;
-    /** Deferred hint-miss blob: call the probe, retry the op. */
-    struct MissBlob
-    {
-        int label;
-        uint32_t opIdx;
-        int retryLabel;
-    };
-    std::vector<MissBlob> _missBlobs;
+    using ExitBlob = CompileScratch::ExitBlob;
+    using MissBlob = CompileScratch::MissBlob;
+    std::vector<ExitBlob> &_exitBlobs;
+    std::vector<MissBlob> &_missBlobs;
 
     bool isAlloc(uint8_t g) const { return _hostOf[g] != kNoHostReg; }
     uint8_t host(uint8_t g) const { return _hostOf[g]; }
@@ -1023,9 +1017,9 @@ TraceCompiler::compile()
 
 bool
 compileTrace(const SuperTrace &tr, const CompileLayout &lay,
-             Emitter &em)
+             Emitter &em, CompileScratch &scratch)
 {
-    return TraceCompiler(tr, lay, em).compile();
+    return TraceCompiler(tr, lay, em, scratch).compile();
 }
 
 } // namespace hipstr::jit

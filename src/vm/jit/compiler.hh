@@ -27,6 +27,7 @@
 #define HIPSTR_VM_JIT_COMPILER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "vm/jit/emitter.hh"
 
@@ -85,14 +86,43 @@ struct CompileLayout
 };
 
 /**
- * Compile @p tr into @p em. Every op shape has a template (formation
+ * The compiler's per-compile tables. The caller keeps one beside its
+ * Emitter so their capacity carries over from one compile to the
+ * next; compileTrace clears them on entry.
+ */
+struct CompileScratch
+{
+    /** Deferred out-of-line exit blob. */
+    struct ExitBlob
+    {
+        int label;
+        uint32_t code;
+        uint32_t opIdx;
+    };
+    /** Deferred hint-miss blob: call the probe, retry the op. */
+    struct MissBlob
+    {
+        int label;
+        uint32_t opIdx;
+        int retryLabel;
+    };
+
+    std::vector<uint8_t> allocated; ///< guest regs with a host reg
+    std::vector<int> opLabel;       ///< label per op (-1 if none)
+    std::vector<ExitBlob> exitBlobs;
+    std::vector<MissBlob> missBlobs;
+};
+
+/**
+ * Compile @p tr into @p em, using @p scratch for the per-compile
+ * tables. Every op shape has a template (formation
  * ends a trace at any instruction without one), so this declines only
  * traces whose size or counter deltas overflow the encodings (the
  * head block then runs in the block loop); on success em.code holds a
  * complete position-independent function.
  */
 bool compileTrace(const SuperTrace &tr, const CompileLayout &lay,
-                  Emitter &em);
+                  Emitter &em, CompileScratch &scratch);
 
 } // namespace jit
 } // namespace hipstr

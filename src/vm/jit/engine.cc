@@ -261,11 +261,13 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
     }
     _rewindPending = false;
 
-    // One emitter per thread: its buffers keep their capacity across
-    // compiles, and a VM compiles only on the thread running it.
+    // One emitter and one set of compiler tables per thread: their
+    // buffers keep their capacity across compiles, and a VM compiles
+    // only on the thread running it.
     thread_local Emitter em;
+    thread_local CompileScratch scratch;
     em.clear();
-    if (!compileTrace(*tr, layout(), em))
+    if (!compileTrace(*tr, layout(), em, scratch))
         return false;
 
     uint8_t *p = _arena.alloc(em.size());

@@ -489,11 +489,15 @@ PsrVm::runLoop(uint64_t max_guest_insts)
     [[maybe_unused]] const bool traces =
         _jitOn && !controlTraceHook && !_mem.journaling();
 
-    // Block-loop entry state for trace side exits: resume_i is the
-    // instruction index the next block iteration starts at (credited
-    // stays 0 — traces never fold mid-segment), and from_resume
-    // suppresses trace re-entry for that one iteration so the resumed
-    // instruction is re-executed by the baseline machinery.
+    // Block-loop entry state for trace side exits. resume_i is the
+    // instruction index the block body starts at (credited stays 0 —
+    // traces never fold mid-segment). A side exit's resumed tail runs
+    // in the same iteration as the _jit.run call that left the trace,
+    // so from_resume skips trace entry and hot counting for the block
+    // *after* that tail, the next iteration's. Measured (ROADMAP,
+    // trace linking): dropping it forms more traces and more code for
+    // no CPU gain, and entering traces there without hot counting
+    // forms none more.
     size_t resume_i = 0;
     [[maybe_unused]] bool from_resume = false;
 
