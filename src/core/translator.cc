@@ -1126,28 +1126,27 @@ TranslationContext::run(TranslateError &err)
         ti.memReads = mc.reads;
         ti.memWrites = mc.writes;
 
-        // Pre-classification for the VM's switch-based inner loop.
-        // A Jcc without a wired exit stays Plain and executes inline,
-        // matching the pre-classification op cascade.
+        // The execution shape for the VM's one switch. A Jcc without
+        // a wired exit keeps its plain Jcc shape and executes inline.
         if (ti.mi.op == Op::Jcc && ti.exitIdx >= 0)
-            ti.klass = ExecClass::Jcc;
-        else if (ti.mi.op == Op::VmExit)
-            ti.klass = ExecClass::VmExit;
+            ti.shape = ExecShape::JccExit;
         else if (ti.mi.op == Op::Ret)
-            ti.klass = ExecClass::Ret;
+            ti.shape = ExecShape::RetExit;
         else if (ti.mi.op == Op::Syscall)
-            ti.klass = ExecClass::Syscall;
+            ti.shape = ExecShape::SyscallExit;
         else
-            ti.klass = ti.guestStart ? ExecClass::GuestStartPlain
-                                     : ExecClass::Plain;
+            ti.shape = classifyExec(ti.mi);
+        const bool exit_shape = ti.shape == ExecShape::JccExit ||
+            ti.shape == ExecShape::RetExit ||
+            ti.shape == ExecShape::SyscallExit ||
+            ti.mi.op == Op::VmExit;
 
         // Inclusive running totals (see TInst): guest boundaries over
-        // every class, data traffic only over the Plain classes whose
-        // counts the VM would otherwise add per instruction.
+        // every instruction, data traffic only over the instructions
+        // whose counts the VM would otherwise add per instruction.
         if (ti.guestStart)
             ++guest_cum;
-        if (ti.klass == ExecClass::Plain ||
-            ti.klass == ExecClass::GuestStartPlain) {
+        if (!exit_shape) {
             reads_cum += ti.memReads;
             writes_cum += ti.memWrites;
         }

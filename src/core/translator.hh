@@ -25,6 +25,7 @@
 
 #include "binary/fatbin.hh"
 #include "core/relocation.hh"
+#include "isa/exec_shape.hh"
 #include "isa/instruction.hh"
 #include "isa/memory.hh"
 
@@ -105,22 +106,6 @@ struct BlockExit
     uint64_t hitCount = 0;
 };
 
-/**
- * Dense execution class, assigned at translate time so the VM's inner
- * loop is one switch per instruction instead of an op-compare cascade.
- * GuestStartPlain and Plain execute identically; the split only keeps
- * guest-boundary information available without touching guestStart.
- */
-enum class ExecClass : uint8_t
-{
-    Plain,           ///< straight-line instruction (executeInst)
-    GuestStartPlain, ///< Plain that opens a new guest instruction
-    Jcc,             ///< conditional branch wired to an exit
-    Ret,             ///< return macro-op (RAT-translated)
-    Syscall,         ///< OS entry (may redirect or exit)
-    VmExit           ///< unit exit stub
-};
-
 /** One translated instruction; exitIdx links Jcc/VmExit to an exit. */
 struct TInst
 {
@@ -136,16 +121,22 @@ struct TInst
     /** @} */
     /** Byte offset within the unit's encoding (I-fetch modelling). */
     uint16_t byteOff = 0;
-    /** Dispatch class driving the VM's inner switch. */
-    ExecClass klass = ExecClass::Plain;
+    /**
+     * Execution shape driving the VM's one switch per instruction
+     * (isa/exec_shape.hh): classifyExec(mi), except that a Jcc wired
+     * to an exit, a Ret and a Syscall take the block-loop exit shapes
+     * JccExit, RetExit and SyscallExit.
+     */
+    ExecShape shape = ExecShape::PerOp;
     /**
      * Inclusive running totals over the unit's instruction list, so
      * the VM credits whole straight-line runs with two subtractions
      * at each loop exit instead of per-instruction increments:
      * guestCum counts guestStart markers through this instruction;
      * memReadsCum/memWritesCum sum the translate-time data-access
-     * counts of the Plain instructions through this one (exit-class
-     * instructions account for their own traffic in the VM). @{
+     * counts of the instructions through this one that have no
+     * block-loop exit shape (the exit shapes and VmExit account for
+     * their own traffic in the VM). @{
      */
     uint32_t guestCum = 0;
     uint32_t memReadsCum = 0;

@@ -7,15 +7,23 @@
  * both variants of the PSR VM's block loop. Without the attribute the
  * compiler's growth limits keep it an out-of-line call in those large
  * loops. Cold callers use the out-of-line executeInst() wrapper from
- * interp.hh; the semantics are one and the same function.
+ * interp.hh, which classifies on the fly; the semantics are one and
+ * the same function.
+ *
+ * The executor is one switch on the instruction's pre-resolved
+ * ExecShape (isa/exec_shape.hh): each straight-line shape reads its
+ * operands straight from the fields its form fixes. The per-op code
+ * (executePerOp) is the tail of that switch for every other form.
  */
 
 #ifndef HIPSTR_ISA_EXEC_INLINE_HH
 #define HIPSTR_ISA_EXEC_INLINE_HH
 
+#include "isa/exec_shape.hh"
 #include "isa/guest_os.hh"
 #include "isa/instruction.hh"
 #include "isa/machine_state.hh"
+#include "isa/mem_traffic.hh"
 #include "isa/memory.hh"
 #include "support/logging.hh"
 
@@ -29,7 +37,14 @@ enum class ExecStatus
     Halted,   ///< Halt executed
     Exited,   ///< guest called Exit or Execve
     VmExit,   ///< VmExit pseudo-op reached (only meaningful inside a VM)
-    Faulted   ///< memory fault; state.pc still points at the instruction
+    Faulted,  ///< memory fault; state.pc still points at the instruction
+    /**
+     * A block-loop exit shape was reached (a taken JccExit, RetExit,
+     * SyscallExit): nothing executed, the block loop takes over. Only
+     * the translator stamps those shapes, so the interpreter and
+     * executeInst() never see this status.
+     */
+    BlockExit
 };
 
 namespace interp_detail
@@ -104,7 +119,7 @@ setTestFlags(uint32_t a, uint32_t b, Flags &f)
     f.of = false;
 }
 
-inline uint32_t
+[[gnu::always_inline]] inline uint32_t
 aluCompute(Op op, uint32_t a, uint32_t b)
 {
     switch (op) {
@@ -128,18 +143,16 @@ aluCompute(Op op, uint32_t a, uint32_t b)
     }
 }
 
-} // namespace interp_detail
-
 /**
- * Execute one decoded instruction (see executeInst in interp.hh for
- * the contract). Forced inline so hot loops fold it into their
- * dispatch.
+ * The per-op executor: today's semantics for every op and operand
+ * form, dispatched on the op and the operand kinds. It is the tail of
+ * executeInstInline's switch (ExecShape::PerOp) and the reference the
+ * shaped cases must match.
  */
-[[gnu::always_inline]] inline ExecStatus
-executeInstInline(const MachInst &mi, MachineState &state, Memory &mem,
-                  GuestOs *os)
+inline ExecStatus
+executePerOp(const MachInst &mi, MachineState &state, Memory &mem,
+             GuestOs *os)
 {
-    using namespace interp_detail;
     const Addr next_pc = state.pc + mi.size;
     bool fault = false;
 
@@ -334,6 +347,249 @@ executeInstInline(const MachInst &mi, MachineState &state, Memory &mem,
     }
     hipstr_panic("executeInst: unhandled op");
 }
+
+} // namespace interp_detail
+
+/** The data sink of an untimed run: reports compile away. */
+struct NoDataSink
+{
+    void operator()(Addr, bool) const {}
+};
+
+namespace interp_detail
+{
+
+/** Address of memory operand @p o under the current registers. */
+[[gnu::always_inline]] inline Addr
+memAddr(const Operand &o, const MachineState &state)
+{
+    return state.reg(o.base) + static_cast<uint32_t>(o.disp);
+}
+
+} // namespace interp_detail
+
+/**
+ * Execute one decoded instruction of shape @p shape (see executeInst
+ * in interp.hh for the contract). @p shape is classifyExec(mi), or in
+ * a block loop the translator's stamp, which may also be a block-loop
+ * exit shape.
+ *
+ * Every data access is reported as sink(addr, is_write) before it is
+ * made, from the pre-execution registers and in forEachMemAccess's
+ * order, so a timed run takes its data stream from the executor's
+ * own operand walk. A shaped form reports all of its accesses before
+ * making the first, and the per-op tail reports through
+ * forEachMemAccess itself, so a faulting instruction reports exactly
+ * what forEachMemAccess would. With a no-op sink the reports compile
+ * away. Forced inline so hot loops fold the switch into their own
+ * dispatch.
+ */
+template <typename Sink>
+[[gnu::always_inline]] inline ExecStatus
+executeInstInline(ExecShape shape, const MachInst &mi,
+                  MachineState &state, Memory &mem, GuestOs *os,
+                  Sink &&sink)
+{
+    using namespace interp_detail;
+    const Addr next_pc = state.pc + mi.size;
+    uint32_t a = 0, b = 0;
+    uint8_t byte = 0;
+    Addr addr = 0;
+
+#define HIPSTR_NEXT                                                   \
+    state.pc = next_pc;                                               \
+    return ExecStatus::Continue
+#define HIPSTR_LOAD(operand, out)                                     \
+    addr = memAddr(operand, state);                                   \
+    sink(addr, false);                                                \
+    if (!mem.tryRead32(addr, out))                                    \
+        return ExecStatus::Faulted
+
+    switch (shape) {
+      case ExecShape::MovRR:
+        state.setReg(mi.dst.reg, state.reg(mi.src1.reg));
+        HIPSTR_NEXT;
+      case ExecShape::MovRI:
+        state.setReg(mi.dst.reg, static_cast<uint32_t>(mi.src1.disp));
+        HIPSTR_NEXT;
+      case ExecShape::MovRM:
+        HIPSTR_LOAD(mi.src1, a);
+        state.setReg(mi.dst.reg, a);
+        HIPSTR_NEXT;
+      case ExecShape::MovMR:
+      case ExecShape::MovMI:
+        a = shape == ExecShape::MovMR
+            ? state.reg(mi.src1.reg)
+            : static_cast<uint32_t>(mi.src1.disp);
+        addr = memAddr(mi.dst, state);
+        sink(addr, true);
+        if (!mem.tryWrite32(addr, a))
+            return ExecStatus::Faulted;
+        HIPSTR_NEXT;
+
+      case ExecShape::MovbRM:
+        addr = memAddr(mi.src1, state);
+        sink(addr, false);
+        if (!mem.tryRead8(addr, byte))
+            return ExecStatus::Faulted;
+        state.setReg(mi.dst.reg, byte);
+        HIPSTR_NEXT;
+      case ExecShape::MovbMR:
+      case ExecShape::MovbMI:
+        a = shape == ExecShape::MovbMR
+            ? state.reg(mi.src1.reg)
+            : static_cast<uint32_t>(mi.src1.disp);
+        addr = memAddr(mi.dst, state);
+        sink(addr, true);
+        if (!mem.tryWrite8(addr, static_cast<uint8_t>(a)))
+            return ExecStatus::Faulted;
+        HIPSTR_NEXT;
+
+      case ExecShape::Lea:
+        state.setReg(mi.dst.reg, memAddr(mi.src1, state));
+        HIPSTR_NEXT;
+      case ExecShape::MovHi:
+        state.setReg(mi.dst.reg,
+                     (state.reg(mi.dst.reg) & 0xffffu) |
+                         (static_cast<uint32_t>(mi.src1.disp) << 16));
+        HIPSTR_NEXT;
+
+#define HIPSTR_FLAG_SHAPES(Name, setFlags)                            \
+      case ExecShape::Name##RR:                                       \
+        setFlags(state.reg(mi.src1.reg), state.reg(mi.src2.reg),      \
+                 state.flags);                                        \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::Name##RI:                                       \
+        setFlags(state.reg(mi.src1.reg),                              \
+                 static_cast<uint32_t>(mi.src2.disp), state.flags);   \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::Name##RM:                                       \
+        HIPSTR_LOAD(mi.src2, b);                                      \
+        setFlags(state.reg(mi.src1.reg), b, state.flags);             \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::Name##MR:                                       \
+        HIPSTR_LOAD(mi.src1, a);                                      \
+        setFlags(a, state.reg(mi.src2.reg), state.flags);             \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::Name##MI:                                       \
+        HIPSTR_LOAD(mi.src1, a);                                      \
+        setFlags(a, static_cast<uint32_t>(mi.src2.disp), state.flags); \
+        HIPSTR_NEXT;
+      HIPSTR_FLAG_SHAPES(Cmp, setCmpFlags)
+      HIPSTR_FLAG_SHAPES(Test, setTestFlags)
+#undef HIPSTR_FLAG_SHAPES
+
+      case ExecShape::PushR:
+      case ExecShape::PushI: {
+        a = shape == ExecShape::PushR
+            ? state.reg(mi.src1.reg)
+            : static_cast<uint32_t>(mi.src1.disp);
+        const uint32_t sp = state.sp() - kWordSize;
+        sink(sp, true);
+        if (!mem.tryWrite32(sp, a))
+            return ExecStatus::Faulted;
+        state.setSp(sp);
+        HIPSTR_NEXT;
+      }
+      case ExecShape::PopR: {
+        const uint32_t sp = state.sp();
+        sink(sp, false);
+        if (!mem.tryRead32(sp, a))
+            return ExecStatus::Faulted;
+        state.setSp(sp + kWordSize);
+        state.setReg(mi.dst.reg, a);
+        HIPSTR_NEXT;
+      }
+
+      // The ALU family: one case per op and form, each with the op's
+      // expression inlined (aluCompute on a constant op folds away).
+      // The slot forms (MR/MI) read and write the one memory word.
+#define HIPSTR_ALU_SHAPES(o)                                          \
+      case ExecShape::o##RR:                                          \
+        state.setReg(mi.dst.reg,                                      \
+                     aluCompute(Op::o, state.reg(mi.src1.reg),        \
+                                state.reg(mi.src2.reg)));             \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::o##RI:                                          \
+        state.setReg(mi.dst.reg,                                      \
+                     aluCompute(Op::o, state.reg(mi.src1.reg),        \
+                                static_cast<uint32_t>(mi.src2.disp))); \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::o##RM:                                          \
+        HIPSTR_LOAD(mi.src2, b);                                      \
+        state.setReg(mi.dst.reg,                                      \
+                     aluCompute(Op::o, state.reg(mi.src1.reg), b));   \
+        HIPSTR_NEXT;                                                  \
+      case ExecShape::o##MR:                                          \
+      case ExecShape::o##MI:                                          \
+        b = shape == ExecShape::o##MR                                 \
+            ? state.reg(mi.src2.reg)                                  \
+            : static_cast<uint32_t>(mi.src2.disp);                    \
+        addr = memAddr(mi.dst, state);                                \
+        sink(addr, false);                                            \
+        sink(addr, true);                                             \
+        if (!mem.tryRead32(addr, a) ||                                \
+            !mem.tryWrite32(addr, aluCompute(Op::o, a, b)))           \
+            return ExecStatus::Faulted;                               \
+        HIPSTR_NEXT;
+      HIPSTR_ALU_OPS(HIPSTR_ALU_SHAPES)
+#undef HIPSTR_ALU_SHAPES
+
+      case ExecShape::Nop:
+        HIPSTR_NEXT;
+      case ExecShape::Jmp:
+        state.pc = mi.target;
+        return ExecStatus::Continue;
+      case ExecShape::Jcc:
+        state.pc = condHolds(mi.cond, state.flags) ? mi.target
+                                                   : next_pc;
+        return ExecStatus::Continue;
+      case ExecShape::Call:
+        if (state.isa == IsaKind::Cisc) {
+            const uint32_t sp = state.sp() - kWordSize;
+            sink(sp, true);
+            if (!mem.tryWrite32(sp, next_pc))
+                return ExecStatus::Faulted;
+            state.setSp(sp);
+        } else {
+            state.setReg(risc::LR, next_pc);
+        }
+        state.pc = mi.target;
+        return ExecStatus::Continue;
+      case ExecShape::Ret: {
+        const uint32_t sp = state.sp();
+        sink(sp, false);
+        if (!mem.tryRead32(sp, a))
+            return ExecStatus::Faulted;
+        state.setSp(sp + kWordSize);
+        state.pc = a;
+        return ExecStatus::Continue;
+      }
+      case ExecShape::VmExit:
+        return ExecStatus::VmExit;
+
+      case ExecShape::PerOp:
+        forEachMemAccess(mi, state, sink);
+        return executePerOp(mi, state, mem, os);
+
+      case ExecShape::JccExit:
+        if (!condHolds(mi.cond, state.flags)) {
+            HIPSTR_NEXT;
+        }
+        return ExecStatus::BlockExit;
+      case ExecShape::RetExit:
+      case ExecShape::SyscallExit:
+        return ExecStatus::BlockExit;
+
+      case ExecShape::NumShapes:
+        break;
+    }
+#undef HIPSTR_LOAD
+#undef HIPSTR_NEXT
+    hipstr_panic("executeInst: invalid shape %u",
+                 static_cast<unsigned>(shape));
+}
+
 
 } // namespace hipstr
 

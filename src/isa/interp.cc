@@ -9,7 +9,8 @@ ExecStatus
 executeInst(const MachInst &mi, MachineState &state, Memory &mem,
             GuestOs *os)
 {
-    return executeInstInline(mi, state, mem, os);
+    return executeInstInline(classifyExec(mi), mi, state, mem, os,
+                             NoDataSink{});
 }
 
 const char *

@@ -39,7 +39,9 @@ namespace hipstr
  *           behaves as Exited so gadget chains terminate).
  *
  * This is the out-of-line wrapper around executeInstInline
- * (isa/exec_inline.hh); hot loops call the inline form directly.
+ * (isa/exec_inline.hh): it classifies @p mi on the fly. Hot loops
+ * stamp the shape once where they cache the instruction and call the
+ * inline form directly.
  */
 ExecStatus executeInst(const MachInst &mi, MachineState &state,
                        Memory &mem, GuestOs *os);
@@ -78,10 +80,12 @@ struct RunResult
  * baselines and differential tests run on this.
  *
  * Each pc is decoded once: a direct-mapped cache of decoded
- * instructions, tagged by pc, sits in front of decodeInst. The whole
- * cache is dropped whenever Memory::codeEpoch() or state.isa differs
- * from the values it was filled under, so a hit always equals what a
- * fresh decode would return. Failed decodes are never cached.
+ * instructions, tagged by pc, sits in front of decodeInst, and each
+ * line carries the instruction's ExecShape, classified at fill. The
+ * whole cache is dropped whenever Memory::codeEpoch() or state.isa
+ * differs from the values it was filled under, so a hit always
+ * equals what a fresh decode would return. Failed decodes are never
+ * cached.
  */
 class Interpreter
 {
@@ -125,11 +129,14 @@ class Interpreter
 
     /**
      * The interpreter loop, with @p hook(mi, pc) called before each
-     * instruction executes (the traceHook contract). Every run()
+     * instruction executes (the traceHook contract) and @p sink(addr,
+     * is_write) called by the executor for each data access, in
+     * forEachMemAccess's order (see executeInstInline). Every run()
      * variant is an instantiation of this template.
      */
-    template <typename Hook>
-    RunResult runWith(uint64_t maxInsts, Hook &&hook);
+    template <typename Hook, typename Sink = NoDataSink>
+    RunResult runWith(uint64_t maxInsts, Hook &&hook,
+                      Sink &&sink = Sink{});
 
   private:
     /** One cache line: the decode of the instruction at @c pc. */
@@ -137,6 +144,7 @@ class Interpreter
     {
         uint64_t pc; ///< wider than Addr so kNoPc matches no pc
         MachInst mi;
+        ExecShape shape; ///< classifyExec(mi)
     };
 
     /**
@@ -159,9 +167,9 @@ class Interpreter
     std::array<Decoded, kDecodedLines> _decoded;
 };
 
-template <typename Hook>
+template <typename Hook, typename Sink>
 RunResult
-Interpreter::runWith(uint64_t maxInsts, Hook &&hook)
+Interpreter::runWith(uint64_t maxInsts, Hook &&hook, Sink &&sink)
 {
     RunResult res;
     for (uint64_t i = 0; i < maxInsts; ++i) {
@@ -179,11 +187,13 @@ Interpreter::runWith(uint64_t maxInsts, Hook &&hook)
                 return res;
             }
             line.pc = state.pc;
+            line.shape = classifyExec(line.mi);
         }
         const MachInst &mi = line.mi;
         const Addr pc_before = state.pc;
         hook(mi, pc_before);
-        ExecStatus st = executeInstInline(mi, state, _mem, &_os);
+        ExecStatus st =
+            executeInstInline(line.shape, mi, state, _mem, &_os, sink);
         if (st == ExecStatus::Continue) [[likely]] {
             ++res.instsExecuted;
             continue;
@@ -207,6 +217,7 @@ Interpreter::runWith(uint64_t maxInsts, Hook &&hook)
             return res;
           case ExecStatus::Continue:
           case ExecStatus::Faulted:
+          case ExecStatus::BlockExit: // no exit shape is ever stamped
             break; // handled above
         }
     }

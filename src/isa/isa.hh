@@ -151,6 +151,13 @@ constexpr Reg R0 = 0, R1 = 1, R2 = 2, R3 = 3, R4 = 4, R5 = 5, R6 = 6,
 constexpr unsigned kNumRegs = 16;
 } // namespace risc
 
+/** Stack-pointer register of @p isa (isaDescriptor(isa).spReg). */
+constexpr Reg
+spRegOf(IsaKind isa)
+{
+    return isa == IsaKind::Risc ? risc::SP : cisc::SP;
+}
+
 /**
  * Guest system-call numbers. EXECVE is the canonical attacker goal: a
  * ROP chain succeeds when it reaches Syscall with the execve number and

@@ -58,8 +58,8 @@ struct MachineState
     uint32_t reg(Reg r) const { return regs[r]; }
     void setReg(Reg r, uint32_t v) { regs[r] = v; }
 
-    uint32_t sp() const { return regs[isaDescriptor(isa).spReg]; }
-    void setSp(uint32_t v) { regs[isaDescriptor(isa).spReg] = v; }
+    uint32_t sp() const { return regs[spRegOf(isa)]; }
+    void setSp(uint32_t v) { regs[spRegOf(isa)] = v; }
 };
 
 } // namespace hipstr

@@ -55,6 +55,9 @@ unmapZeroed(uint8_t *p, size_t bytes)
 
 Memory::Memory() : _bytes(mapZeroed(kSize))
 {
+    // Room for every layout the loader and the code caches build, so
+    // rebuildSpans never grows it on a respawn.
+    _spans.reserve(32);
     rebuildSpans();
 }
 
@@ -88,44 +91,37 @@ Memory::rebuildSpans()
 {
     ++_layoutEpoch;
     ++_codeEpoch;
-    // Every region edge is a potential permission change; resolve the
-    // perm of each cell with the region list's last-definition-wins
-    // rule, then merge equal neighbours. Region counts are single
-    // digits, so the quadratic resolve is irrelevant — this runs only
-    // on setRegion, never on an access.
-    std::vector<Addr> edges;
-    edges.reserve(_regions.size() * 2 + 2);
-    edges.push_back(0);
+    // Every region edge is a potential permission change. Walk the
+    // cells between consecutive edges in address order (the next edge
+    // is the smallest region edge above the current cell), resolve
+    // each cell's perm with the region list's last-definition-wins
+    // rule, and merge equal neighbours. Region counts are single
+    // digits, so the quadratic walk is irrelevant, and it needs no
+    // edge list: this runs on every respawn and allocates nothing.
     const Addr mem_end = kSize;
-    for (const auto &r : _regions) {
-        if (r.base < mem_end)
-            edges.push_back(r.base);
-        if (r.base + r.size < mem_end)
-            edges.push_back(r.base + r.size);
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    edges.push_back(mem_end);
-
     _spans.clear();
-    for (size_t i = 0; i + 1 < edges.size(); ++i) {
-        const Addr cell = edges[i];
+    for (Addr cell = 0; cell < mem_end;) {
+        Addr next = mem_end;
         Perm p = PermNone;
         for (const auto &r : _regions) {
+            const uint64_t r_end = uint64_t(r.base) + r.size;
+            if (r.base > cell && r.base < next)
+                next = r.base;
+            if (r_end > cell && r_end < next)
+                next = static_cast<Addr>(r_end);
             if (cell >= r.base && cell - r.base < r.size)
                 p = r.perm;
         }
         if (!_spans.empty() && _spans.back().perm == p)
-            _spans.back().end = edges[i + 1];
+            _spans.back().end = next;
         else
-            _spans.push_back(Span{edges[i + 1],
-                                  static_cast<uint8_t>(p)});
+            _spans.push_back(Span{next, static_cast<uint8_t>(p)});
+        cell = next;
     }
     hipstr_assert(!_spans.empty() && _spans.back().end == mem_end);
 
     // Page table: every page starts mixed; each span then claims the
-    // pages that lie wholly inside it. A page with a span edge inside
-    // is claimed by no span and stays mixed.
+    // pages that lie wholly inside it.
     _pagePerm.fill(kMixedPage);
     Addr start = 0;
     for (const Span &sp : _spans) {
@@ -135,6 +131,32 @@ Memory::rebuildSpans()
         if (first < last)
             std::memset(&_pagePerm[first], sp.perm, last - first);
         start = sp.end;
+    }
+    // A page with exactly one edge inside gets a split-list entry; a
+    // second edge in the same page (edges come in address order, so
+    // its entry is the last one taken) makes it mixed again.
+    size_t splits = 0;
+    uint64_t split_page = ~uint64_t(0);
+    for (size_t i = 0; i + 1 < _spans.size(); ++i) {
+        const Addr edge = _spans[i].end;
+        const uint32_t off = edge & (kPageBytes - 1);
+        if (off == 0)
+            continue;
+        const uint64_t page = edge >> kPageShift;
+        if (page == split_page) {
+            if (_pagePerm[page] != kMixedPage) {
+                --splits;
+                _pagePerm[page] = kMixedPage;
+            }
+            continue;
+        }
+        split_page = page;
+        if (splits == kMaxSplits)
+            continue; // stays mixed
+        _splits[splits] = SplitPage{static_cast<uint16_t>(off),
+                                    _spans[i].perm, _spans[i + 1].perm};
+        _pagePerm[page] = static_cast<uint8_t>(kFirstSplit + splits);
+        ++splits;
     }
 }
 

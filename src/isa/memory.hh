@@ -123,18 +123,24 @@ class Memory
     /**
      * Permission byte governing @p addr, the perm of the span that
      * contains it. One byte per page caches that perm for every page
-     * a single span covers, so the lookup is O(1); a page that
-     * straddles a span edge is marked mixed and falls back to the
-     * binary search over the flattened span partition. Both are
-     * rebuilt on every setRegion.
+     * a single span covers, so the lookup is O(1). A page that
+     * exactly one span edge cuts through holds an index into a small
+     * split list instead (the edge's offset and the perms on either
+     * side), which is O(1) too. Only a page that two or more edges
+     * cut falls back to the binary search over the flattened span
+     * partition. All three are rebuilt on every setRegion.
      */
     Perm permAt(Addr addr) const
     {
         if (addr >= kSize)
             return PermNone;
         uint8_t p = _pagePerm[addr >> kPageShift];
-        if (p == kMixedPage) [[unlikely]]
-            p = _spans[spanIndex(addr)].perm;
+        if (p >= kFirstSplit) [[unlikely]] {
+            if (p == kMixedPage)
+                p = _spans[spanIndex(addr)].perm;
+            else
+                p = _splits[p - kFirstSplit].permAt(addr);
+        }
         return static_cast<Perm>(p);
     }
 
@@ -501,12 +507,35 @@ class Memory
 
     /**
      * Recompute _spans from _regions (definition order wins), then
-     * _pagePerm from _spans.
+     * _pagePerm and _splits from _spans. Allocates nothing once
+     * _spans has grown to the layout's span count (the constructor
+     * reserves room for every layout the loader builds), so a respawn
+     * that redefines its regions stays off the heap.
      */
     void rebuildSpans();
 
-    /** _pagePerm value of a page that more than one span covers. */
+    /** A page one span edge cuts: the perms below and from the edge. */
+    struct SplitPage
+    {
+        uint16_t edge; ///< offset of the edge within the page
+        uint8_t below;
+        uint8_t above;
+
+        uint8_t permAt(Addr addr) const
+        {
+            return (addr & (kPageBytes - 1)) < edge ? below : above;
+        }
+    };
+
+    /**
+     * _pagePerm values: a perm (< kFirstSplit), kFirstSplit + i for
+     * the page of _splits[i], or kMixedPage for a page that two or
+     * more spans edges cut (or one, once _splits is full).
+     */
+    static constexpr uint8_t kFirstSplit = 0x10;
     static constexpr uint8_t kMixedPage = 0xff;
+    static_assert((PermR | PermW | PermX) < kFirstSplit);
+    static constexpr size_t kMaxSplits = kMixedPage - kFirstSplit;
 
     uint8_t *_bytes; ///< kSize bytes, zero until first written
     /** One byte per page: nonzero iff the page may be non-zero. */
@@ -515,9 +544,11 @@ class Memory
     std::vector<Span> _spans;
     /**
      * One byte per page: the perm of the one span covering the whole
-     * page, or kMixedPage where a span edge falls inside the page.
+     * page, or where a span edge falls inside the page, a split-list
+     * index or kMixedPage (see kFirstSplit).
      */
     std::array<uint8_t, kSize / kPageBytes> _pagePerm{};
+    std::array<SplitPage, kMaxSplits> _splits{};
     uint64_t _layoutEpoch = 0; ///< see layoutEpoch()
     uint64_t _codeEpoch = 0;   ///< see codeEpoch()
     bool _journaling = false;

@@ -69,10 +69,12 @@ TimingHarness::attachInterpreter(Interpreter &interp)
     interp.setRunEntry(
         [](Interpreter &ip, void *harness, uint64_t max_insts) {
             TimingHarness &h = *static_cast<TimingHarness *>(harness);
-            return ip.runWith(max_insts,
-                              [&h, &ip](const MachInst &mi, Addr pc) {
-                                  h.nativeStep(mi, ip.state, pc);
-                              });
+            return ip.runWith(
+                max_insts,
+                [&h](const MachInst &mi, Addr pc) {
+                    h.nativeStep(mi, pc);
+                },
+                [&h](Addr addr, bool) { h.data(addr); });
         },
         this);
 }

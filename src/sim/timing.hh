@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "isa/interp.hh"
-#include "isa/mem_traffic.hh"
 #include "sim/cache.hh"
 #include "sim/core_config.hh"
 
@@ -180,18 +179,18 @@ class TimingHarness
 
   private:
     /**
-     * Account one native instruction about to execute at @p pc:
-     * memory traffic comes from forEachMemAccess, which the VM's
-     * translate-time counts also derive from, so both engines count
-     * the same accesses for the same instruction stream.
+     * Account one native instruction about to execute at @p pc. Its
+     * data accesses reach data() from the executor itself (the
+     * interpreter loop's sink), in forEachMemAccess's order, which
+     * the VM's translate-time counts also derive from, so both
+     * engines count the same accesses for the same instruction
+     * stream.
      */
     [[gnu::always_inline]] void
-    nativeStep(const MachInst &mi, const MachineState &state, Addr pc)
+    nativeStep(const MachInst &mi, Addr pc)
     {
         ++_nativeInsts;
         fetch(pc);
-        forEachMemAccess(mi, state,
-                         [this](Addr addr, bool) { data(addr); });
         if (mi.op == Op::Syscall)
             ++_nativeSyscalls;
     }

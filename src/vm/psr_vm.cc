@@ -6,7 +6,6 @@
 
 #include "binary/loader.hh"
 #include "isa/interp.hh"
-#include "isa/mem_traffic.hh"
 #include "sim/core_config.hh"
 #include "sim/timing.hh"
 #include "support/env.hh"
@@ -551,11 +550,13 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                 }
             }
         }
-        // Execute the block's translated instructions. The loop is a
-        // single switch on the translate-time ExecClass; guest-inst
-        // and data-traffic counters are folded in from the per-inst
-        // running totals only at loop exits (credit_through), so the
-        // straight-line path does no per-instruction accounting.
+        // Execute the block's translated instructions. Each one is a
+        // single switch on its translate-time ExecShape, inside the
+        // executor; the block-loop exit shapes come back as
+        // BlockExit. Guest-inst and data-traffic counters are folded
+        // in from the per-inst running totals only at loop exits
+        // (credit_through), so the straight-line path does no
+        // per-instruction accounting.
         const TInst *const insts = blk->insts.data();
         const size_t n = blk->insts.size();
         const Addr block_pc = state.pc; // VM owns the pc
@@ -586,67 +587,57 @@ PsrVm::runLoop(uint64_t max_guest_insts)
             credited = idx + 1;
         };
 
+        // The timed loop's data stream comes from the executor's own
+        // operand walk, in forEachMemAccess order; the counts were
+        // credited from the translate-time totals, which agree.
+        auto data = [sink](Addr addr, bool) {
+            if constexpr (Timed)
+                sink->data(addr);
+        };
+
         while (i < n) {
             const TInst &ti = insts[i];
             if constexpr (Timed)
                 sink->fetch(blk->cacheAddr + ti.byteOff);
 
-            switch (ti.klass) {
-              case ExecClass::Plain:
-              case ExecClass::GuestStartPlain: {
-                if constexpr (Timed) {
-                    // Pre-execution register values form the
-                    // addresses; the counts were credited from the
-                    // translate-time totals, which agree.
-                    if ((ti.memReads | ti.memWrites) != 0) {
-                        forEachMemAccess(ti.mi, state,
-                                         [sink](Addr addr, bool) {
-                                             sink->data(addr);
-                                         });
-                    }
-                }
-                ExecStatus st =
-                    executeInstInline(ti.mi, state, _mem, &_os);
-                state.pc = block_pc;
-                if (st != ExecStatus::Continue) [[unlikely]] {
-                    // The faulting instruction is still accounted,
-                    // like the increment-at-top loop did.
-                    credit_through(i);
-                    if (st == ExecStatus::Faulted) {
-                        stop.reason = VmStop::Fault;
-                        stop.stopPc = blk->srcStart;
-                        return stop;
-                    }
-                    if (st == ExecStatus::Halted) {
-                        stop.reason = VmStop::Halted;
-                        stop.stopPc = blk->srcStart;
-                        return stop;
-                    }
-                }
+            const ExecStatus st = executeInstInline(
+                ti.shape, ti.mi, state, _mem, &_os, data);
+            state.pc = block_pc;
+            if (st == ExecStatus::Continue) [[likely]] {
                 ++i;
                 continue;
-              }
-
-              case ExecClass::Jcc:
-                if (!condHolds(ti.mi.cond, state.flags)) {
-                    ++i;
-                    continue;
-                }
-                credit_through(i);
-                taken_exit = ti.exitIdx;
-                break;
-
-              case ExecClass::VmExit:
-                credit_through(i);
+            }
+            // The instruction that stops straight-line execution is
+            // still accounted, like the increment-at-top loop did.
+            credit_through(i);
+            if (st == ExecStatus::VmExit) {
                 taken_exit = ti.exitIdx >= 0
                     ? ti.exitIdx
                     : static_cast<int>(ti.mi.src1.disp);
                 break;
+            }
+            if (st != ExecStatus::BlockExit) [[unlikely]] {
+                if (st == ExecStatus::Faulted) {
+                    stop.reason = VmStop::Fault;
+                    stop.stopPc = blk->srcStart;
+                    return stop;
+                }
+                if (st == ExecStatus::Halted) {
+                    stop.reason = VmStop::Halted;
+                    stop.stopPc = blk->srcStart;
+                    return stop;
+                }
+                ++i;
+                continue;
+            }
 
-              case ExecClass::Ret: {
+            if (ti.shape == ExecShape::JccExit) {
+                taken_exit = ti.exitIdx;
+                break;
+            }
+            if (ti.shape == ExecShape::RetExit) {
                 // Pop the source return address; translate through
                 // the RAT below.
-                credit_through(i);
                 uint32_t sp = state.sp();
                 if (!_mem.tryRead32(sp, ret_target)) {
                     stop.reason = VmStop::Fault;
@@ -659,44 +650,39 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                 state.setSp(sp + kWordSize);
                 is_ret = true;
                 break;
-              }
-
-              case ExecClass::Syscall: {
-                credit_through(i);
-                ++stats.syscalls;
-                bool keep;
-                try {
-                    keep = _os.handleSyscall(state, _mem);
-                } catch (const Memory::Fault &) {
-                    stop.reason = VmStop::Fault;
-                    stop.stopPc = blk->srcStart;
-                    return stop;
-                }
-                if (!keep) {
-                    stop.reason = VmStop::Exited;
-                    stop.stopPc = blk->srcStart;
-                    return stop;
-                }
-                if (_os.takeRedirect()) {
-                    // Non-local transfer (longjmp): the OS rewrote
-                    // pc to a source address. Dispatch it exactly
-                    // like any other indirect control transfer —
-                    // including the SFI check and the security
-                    // policy (the paper forces migration on a
-                    // longjmp whose setjmp ran on the other ISA).
-                    if (controlTraceHook)
-                        controlTraceHook(state.pc, 'J');
-                    blk = indirect_dispatch(state.pc);
-                    if (blk == nullptr)
-                        return stop;
-                    redirected = true;
-                    break;
-                }
-                ++i;
-                continue;
-              }
             }
-            break; // an exit class left the switch: block is done
+
+            // SyscallExit.
+            ++stats.syscalls;
+            bool keep;
+            try {
+                keep = _os.handleSyscall(state, _mem);
+            } catch (const Memory::Fault &) {
+                stop.reason = VmStop::Fault;
+                stop.stopPc = blk->srcStart;
+                return stop;
+            }
+            if (!keep) {
+                stop.reason = VmStop::Exited;
+                stop.stopPc = blk->srcStart;
+                return stop;
+            }
+            if (_os.takeRedirect()) {
+                // Non-local transfer (longjmp): the OS rewrote pc to
+                // a source address. Dispatch it exactly like any
+                // other indirect control transfer — including the SFI
+                // check and the security policy (the paper forces
+                // migration on a longjmp whose setjmp ran on the
+                // other ISA).
+                if (controlTraceHook)
+                    controlTraceHook(state.pc, 'J');
+                blk = indirect_dispatch(state.pc);
+                if (blk == nullptr)
+                    return stop;
+                redirected = true;
+                break;
+            }
+            ++i;
         }
 
         if (redirected) {

@@ -21,239 +21,140 @@ namespace
 /** Edge-profile floor before an exit can anchor a trace. */
 constexpr uint64_t kMinEdgeHits = 8;
 
-bool
-sameMem(const Operand &x, const Operand &y)
+/**
+ * Fill @p t's operand fields for straight-line shape @p shape from
+ * the fields its form fixes: a = dst reg / memory base / stack
+ * pointer, b = src reg / memory base, c = second src reg / base, imm
+ * = the first displacement or immediate, imm2 the second.
+ */
+void
+encodeOperands(const MachInst &mi, ExecShape shape, uint8_t sp_reg,
+               TraceOp &t)
 {
-    return x.isMem() && y.isMem() && x.base == y.base &&
-        x.disp == y.disp;
-}
+    auto reg = [](Reg r) { return static_cast<uint8_t>(r); };
+    auto word = [](int32_t v) { return static_cast<uint32_t>(v); };
+    t.h = traceHandler(shape);
 
-/** First handler (the RR shape) of the specialized ALU family. */
-int
-aluBaseHandler(Op op)
-{
-    switch (op) {
-#define HIPSTR_SUPERTRACE_ALU_BASE(o)                                 \
-      case Op::o:                                                     \
-        return static_cast<int>(TraceH::o##RR);
-        HIPSTR_SUPERTRACE_ALU_OPS(HIPSTR_SUPERTRACE_ALU_BASE)
-#undef HIPSTR_SUPERTRACE_ALU_BASE
+    if (const int alu = aluIndex(shape); alu >= 0) {
+        switch (static_cast<ShapeForm>(alu % 5)) {
+          case ShapeForm::RR:
+            t.a = reg(mi.dst.reg);
+            t.b = reg(mi.src1.reg);
+            t.c = reg(mi.src2.reg);
+            return;
+          case ShapeForm::RI:
+            t.a = reg(mi.dst.reg);
+            t.b = reg(mi.src1.reg);
+            t.imm2 = word(mi.src2.disp);
+            return;
+          case ShapeForm::RM:
+            t.a = reg(mi.dst.reg);
+            t.b = reg(mi.src1.reg);
+            t.c = reg(mi.src2.base);
+            t.imm2 = word(mi.src2.disp);
+            return;
+          case ShapeForm::MR:
+            // Cisc two-address form on a relocated register slot.
+            t.a = reg(mi.dst.base);
+            t.imm = word(mi.dst.disp);
+            t.c = reg(mi.src2.reg);
+            return;
+          case ShapeForm::MI:
+            t.a = reg(mi.dst.base);
+            t.imm = word(mi.dst.disp);
+            t.imm2 = word(mi.src2.disp);
+            return;
+        }
+    }
+
+    switch (shape) {
+      case ExecShape::MovRR:
+        t.a = reg(mi.dst.reg);
+        t.b = reg(mi.src1.reg);
+        return;
+      case ExecShape::MovRI:
+        t.a = reg(mi.dst.reg);
+        t.imm = word(mi.src1.disp);
+        return;
+      case ExecShape::MovRM:
+      case ExecShape::MovbRM:
+      case ExecShape::Lea:
+        t.a = reg(mi.dst.reg);
+        t.b = reg(mi.src1.base);
+        t.imm = word(mi.src1.disp);
+        return;
+      case ExecShape::MovMR:
+      case ExecShape::MovbMR:
+        t.a = reg(mi.dst.base);
+        t.imm = word(mi.dst.disp);
+        t.b = reg(mi.src1.reg);
+        return;
+      case ExecShape::MovMI:
+      case ExecShape::MovbMI:
+        t.a = reg(mi.dst.base);
+        t.imm = word(mi.dst.disp);
+        t.imm2 = word(mi.src1.disp);
+        return;
+      case ExecShape::MovHi:
+        t.a = reg(mi.dst.reg);
+        t.imm = word(mi.src1.disp);
+        return;
+      case ExecShape::CmpRR:
+      case ExecShape::TestRR:
+        t.b = reg(mi.src1.reg);
+        t.c = reg(mi.src2.reg);
+        return;
+      case ExecShape::CmpRI:
+      case ExecShape::TestRI:
+        t.b = reg(mi.src1.reg);
+        t.imm2 = word(mi.src2.disp);
+        return;
+      case ExecShape::CmpRM:
+      case ExecShape::TestRM:
+        t.b = reg(mi.src1.reg);
+        t.c = reg(mi.src2.base);
+        t.imm2 = word(mi.src2.disp);
+        return;
+      case ExecShape::CmpMR:
+      case ExecShape::TestMR:
+        t.b = reg(mi.src1.base);
+        t.imm = word(mi.src1.disp);
+        t.c = reg(mi.src2.reg);
+        return;
+      case ExecShape::CmpMI:
+      case ExecShape::TestMI:
+        t.b = reg(mi.src1.base);
+        t.imm = word(mi.src1.disp);
+        t.imm2 = word(mi.src2.disp);
+        return;
+      case ExecShape::PushR:
+        t.a = sp_reg;
+        t.b = reg(mi.src1.reg);
+        return;
+      case ExecShape::PushI:
+        t.a = sp_reg;
+        t.imm = word(mi.src1.disp);
+        return;
+      case ExecShape::PopR:
+        t.a = sp_reg;
+        t.b = reg(mi.dst.reg);
+        return;
       default:
-        return -1;
-    }
-}
-
-/**
- * Operand-shape offset for the two-source flag setters (Cmp/Test):
- * 0 RR, 1 RI, 2 RM, 3 MR, 4 MI; -1 when no template fits.
- */
-int
-flagShape(const Operand &s1, const Operand &s2, TraceOp &t)
-{
-    if (s1.isReg() && s2.isReg()) {
-        t.b = static_cast<uint8_t>(s1.reg);
-        t.c = static_cast<uint8_t>(s2.reg);
-        return 0;
-    }
-    if (s1.isReg() && s2.isImm()) {
-        t.b = static_cast<uint8_t>(s1.reg);
-        t.imm2 = static_cast<uint32_t>(s2.disp);
-        return 1;
-    }
-    if (s1.isReg() && s2.isMem()) {
-        t.b = static_cast<uint8_t>(s1.reg);
-        t.c = static_cast<uint8_t>(s2.base);
-        t.imm2 = static_cast<uint32_t>(s2.disp);
-        return 2;
-    }
-    if (s1.isMem() && s2.isReg()) {
-        t.b = static_cast<uint8_t>(s1.base);
-        t.imm = static_cast<uint32_t>(s1.disp);
-        t.c = static_cast<uint8_t>(s2.reg);
-        return 3;
-    }
-    if (s1.isMem() && s2.isImm()) {
-        t.b = static_cast<uint8_t>(s1.base);
-        t.imm = static_cast<uint32_t>(s1.disp);
-        t.imm2 = static_cast<uint32_t>(s2.disp);
-        return 4;
-    }
-    return -1;
-}
-
-/** ALU shape: dst/src1 in a, b or a+imm (slot form); src2 in c/imm2. */
-int
-aluShape(const MachInst &mi, TraceOp &t)
-{
-    if (mi.dst.isReg() && mi.src1.isReg()) {
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.b = static_cast<uint8_t>(mi.src1.reg);
-        if (mi.src2.isReg()) {
-            t.c = static_cast<uint8_t>(mi.src2.reg);
-            return 0;
-        }
-        if (mi.src2.isImm()) {
-            t.imm2 = static_cast<uint32_t>(mi.src2.disp);
-            return 1;
-        }
-        if (mi.src2.isMem()) {
-            t.c = static_cast<uint8_t>(mi.src2.base);
-            t.imm2 = static_cast<uint32_t>(mi.src2.disp);
-            return 2;
-        }
-        return -1;
-    }
-    if (mi.dst.isMem() && sameMem(mi.dst, mi.src1)) {
-        // Cisc two-address form on a relocated register slot.
-        t.a = static_cast<uint8_t>(mi.dst.base);
-        t.imm = static_cast<uint32_t>(mi.dst.disp);
-        if (mi.src2.isReg()) {
-            t.c = static_cast<uint8_t>(mi.src2.reg);
-            return 3;
-        }
-        if (mi.src2.isImm()) {
-            t.imm2 = static_cast<uint32_t>(mi.src2.disp);
-            return 4;
-        }
-    }
-    return -1;
-}
-
-/**
- * Move shape (Mov and Movb share operand forms): 0 RR, 1 RI, 2 RM,
- * 3 MR, 4 MI; -1 when no template fits.
- */
-int
-movShape(const MachInst &mi, TraceOp &t)
-{
-    if (mi.dst.isReg() && mi.src1.isReg()) {
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.b = static_cast<uint8_t>(mi.src1.reg);
-        return 0;
-    }
-    if (mi.dst.isReg() && mi.src1.isImm()) {
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.imm = static_cast<uint32_t>(mi.src1.disp);
-        return 1;
-    }
-    if (mi.dst.isReg() && mi.src1.isMem()) {
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.b = static_cast<uint8_t>(mi.src1.base);
-        t.imm = static_cast<uint32_t>(mi.src1.disp);
-        return 2;
-    }
-    if (mi.dst.isMem() && mi.src1.isReg()) {
-        t.a = static_cast<uint8_t>(mi.dst.base);
-        t.imm = static_cast<uint32_t>(mi.dst.disp);
-        t.b = static_cast<uint8_t>(mi.src1.reg);
-        return 3;
-    }
-    if (mi.dst.isMem() && mi.src1.isImm()) {
-        t.a = static_cast<uint8_t>(mi.dst.base);
-        t.imm = static_cast<uint32_t>(mi.dst.disp);
-        t.imm2 = static_cast<uint32_t>(mi.src1.disp);
-        return 4;
-    }
-    return -1;
-}
-
-/**
- * Encode one straight-line (Plain-class, non-Nop) instruction as a
- * TraceOp: fill @p t's handler and operand fields and return true, or
- * return false when the JIT has no template for the instruction.
- */
-bool
-encodeInst(const MachInst &mi, uint8_t sp_reg, TraceOp &t)
-{
-    switch (mi.op) {
-      case Op::Mov: {
-        static constexpr TraceH shapes[] = {
-            TraceH::MovRR, TraceH::MovRI, TraceH::MovRM,
-            TraceH::MovMR, TraceH::MovMI};
-        int off = movShape(mi, t);
-        if (off < 0)
-            return false;
-        t.h = shapes[off];
-        return true;
-      }
-
-      case Op::Movb: {
-        // Byte moves always have exactly one memory side.
-        int off = movShape(mi, t);
-        if (off < 2)
-            return false;
-        static constexpr TraceH shapes[] = {
-            TraceH::MovbRM, TraceH::MovbMR, TraceH::MovbMI};
-        t.h = shapes[off - 2];
-        return true;
-      }
-
-      case Op::Lea:
-        t.h = TraceH::Lea;
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.b = static_cast<uint8_t>(mi.src1.base);
-        t.imm = static_cast<uint32_t>(mi.src1.disp);
-        return true;
-
-      case Op::MovHi:
-        t.h = TraceH::MovHi;
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.imm = static_cast<uint32_t>(mi.src1.disp);
-        return true;
-
-      case Op::Cmp:
-      case Op::Test: {
-        int off = flagShape(mi.src1, mi.src2, t);
-        if (off < 0)
-            return false;
-        TraceH base = mi.op == Op::Cmp ? TraceH::CmpRR : TraceH::TestRR;
-        t.h = static_cast<TraceH>(static_cast<int>(base) + off);
-        return true;
-      }
-
-      case Op::Push:
-        t.a = sp_reg;
-        if (mi.src1.isReg()) {
-            t.h = TraceH::PushR;
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-            return true;
-        }
-        if (mi.src1.isImm()) {
-            t.h = TraceH::PushI;
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-            return true;
-        }
-        return false;
-
-      case Op::Pop:
-        if (!mi.dst.isReg())
-            return false;
-        t.h = TraceH::PopR;
-        t.a = sp_reg;
-        t.b = static_cast<uint8_t>(mi.dst.reg);
-        return true;
-
-      default: {
-        int alu_base = aluBaseHandler(mi.op);
-        int off = alu_base >= 0 ? aluShape(mi, t) : -1;
-        if (off < 0)
-            return false;
-        t.h = static_cast<TraceH>(alu_base + off);
-        return true;
-      }
+        hipstr_panic("encodeOperands: shape %u has no template",
+                     static_cast<unsigned>(shape));
     }
 }
 
 /**
  * True when the trace JIT can run @p ti inline: Nops (which emit no
  * op — the boundary fold accounts them through the translate-time
- * running totals) and instructions with a template.
+ * running totals) and the straight-line shapes, each of which has a
+ * template.
  */
 bool
 hasTemplate(const TInst &ti)
 {
-    TraceOp scratch;
-    return ti.mi.op == Op::Nop || encodeInst(ti.mi, 0, scratch);
+    return ti.shape == ExecShape::Nop || isStraightShape(ti.shape);
 }
 
 /**
@@ -269,11 +170,9 @@ terminalInst(const TranslatedBlock *b)
 {
     for (size_t i = 0; i < b->insts.size(); ++i) {
         const TInst &ti = b->insts[i];
-        if (ti.klass == ExecClass::Jcc)
+        if (ti.shape == ExecShape::JccExit)
             continue;
-        const bool straight = ti.klass == ExecClass::Plain ||
-            ti.klass == ExecClass::GuestStartPlain;
-        if (!straight || !hasTemplate(ti))
+        if (!hasTemplate(ti))
             return static_cast<int>(i);
     }
     return -1;
@@ -296,10 +195,10 @@ boundaryInstFor(const TranslatedBlock *b, size_t exit_idx)
 {
     for (size_t i = 0; i < b->insts.size(); ++i) {
         const TInst &ti = b->insts[i];
-        if (ti.klass == ExecClass::Jcc) {
+        if (ti.shape == ExecShape::JccExit) {
             if (ti.exitIdx == static_cast<int>(exit_idx))
                 return static_cast<int>(i);
-        } else if (ti.klass == ExecClass::VmExit) {
+        } else if (ti.mi.op == Op::VmExit) {
             int e = ti.exitIdx >= 0
                 ? ti.exitIdx
                 : static_cast<int>(ti.mi.src1.disp);
@@ -377,7 +276,7 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
         int boundary = boundaryInstFor(cur, static_cast<size_t>(e));
         if (boundary < 0 || !cleanPrefix(cur, boundary))
             break;
-        if (cur->insts[boundary].klass == ExecClass::Jcc &&
+        if (cur->insts[boundary].shape == ExecShape::JccExit &&
             ex.kind != BlockExit::Kind::Branch)
             break;
         plan.push_back({ cur, boundary, e, false });
@@ -412,7 +311,7 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
         for (int i = 0; i < ps.boundary; ++i) {
             const TInst &ti =
                 ps.blk->insts[static_cast<size_t>(i)];
-            if (ti.klass == ExecClass::Jcc) {
+            if (ti.shape == ExecShape::JccExit) {
                 TraceOp g;
                 g.h = TraceH::JccGuard;
                 g.cond = ti.mi.cond;
@@ -420,14 +319,14 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
                 g.instIdx = static_cast<uint32_t>(i);
                 g.ti = &ti;
                 tr->ops.push_back(g);
-            } else if (ti.mi.op != Op::Nop) {
+            } else if (ti.shape != ExecShape::Nop) {
+                // cleanPrefix/terminalInst admitted only straight-line
+                // shapes here.
                 TraceOp t;
                 t.seg = static_cast<uint16_t>(si);
                 t.instIdx = static_cast<uint32_t>(i);
                 t.ti = &ti;
-                // cleanPrefix/terminalInst admitted only these.
-                const bool encoded = encodeInst(ti.mi, sp_reg, t);
-                hipstr_assert(encoded);
+                encodeOperands(ti.mi, ti.shape, sp_reg, t);
                 tr->ops.push_back(t);
             }
         }
@@ -447,7 +346,7 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
             const BlockExit &ex =
                 ps.blk->exits[static_cast<size_t>(ps.exitIdx)];
             t.imm = ex.target;
-            if (bi.klass == ExecClass::Jcc) {
+            if (bi.shape == ExecShape::JccExit) {
                 t.h = TraceH::SegBranchCc;
                 t.cond = bi.mi.cond;
             } else if (ex.kind == BlockExit::Kind::Branch) {

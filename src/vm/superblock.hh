@@ -41,49 +41,17 @@ namespace hipstr
 
 class CodeCache;
 
-/** The ALU ops the trace JIT specializes per operand shape. */
-#define HIPSTR_SUPERTRACE_ALU_OPS(X)                                  \
-    X(Add) X(Sub) X(And) X(Or) X(Xor) X(Shl) X(Shr) X(Sar) X(Mul)     \
-    X(Divu)
-
 /**
  * Trace op shape. Each value selects one code template in the trace
- * JIT (vm/jit/compiler.cc). An instruction with no shape here never
- * enters a trace: formation ends the trace at it. Operand shapes:
- * RR/RI register-register/immediate, RM register with memory source,
- * MR/MI memory destination (Cisc two-address slot forms). The Movb
- * shapes are the byte moves: RM zero-extends mem8 into a register,
- * MR/MI store the low byte.
+ * JIT (vm/jit/compiler.cc). The straight-line values are the
+ * straight-line ExecShapes (isa/exec_shape.hh), value for value, so
+ * formation turns a TInst's stamped shape into its handler with a
+ * cast; an instruction with no straight-line shape never enters a
+ * trace: formation ends the trace at it.
  */
 enum class TraceH : uint16_t
 {
-    MovRR,
-    MovRI,
-    MovRM,
-    MovMR,
-    MovMI,
-    MovbRM,
-    MovbMR,
-    MovbMI,
-    Lea,
-    MovHi,
-    CmpRR,
-    CmpRI,
-    CmpRM,
-    CmpMR,
-    CmpMI,
-    TestRR,
-    TestRI,
-    TestRM,
-    TestMR,
-    TestMI,
-    PushR,
-    PushI,
-    PopR,
-#define HIPSTR_SUPERTRACE_ALU_ENUM(op)                                \
-    op##RR, op##RI, op##RM, op##MR, op##MI,
-    HIPSTR_SUPERTRACE_ALU_OPS(HIPSTR_SUPERTRACE_ALU_ENUM)
-#undef HIPSTR_SUPERTRACE_ALU_ENUM
+    HIPSTR_STRAIGHT_SHAPE_ENUMERATORS
     // The ALU family ends here: traceAluIndex() relies on JccGuard
     // following its last shape.
     JccGuard,    ///< off-trace conditional: taken => side exit
@@ -94,17 +62,37 @@ enum class TraceH : uint16_t
     NumHandlers
 };
 
+#define HIPSTR_SAME_SHAPE(s)                                          \
+    static_assert(static_cast<int>(TraceH::s) ==                      \
+                  static_cast<int>(ExecShape::s));
+#define HIPSTR_SAME_ALU_SHAPES(op)                                    \
+    HIPSTR_SAME_SHAPE(op##RR) HIPSTR_SAME_SHAPE(op##RI)               \
+    HIPSTR_SAME_SHAPE(op##RM) HIPSTR_SAME_SHAPE(op##MR)               \
+    HIPSTR_SAME_SHAPE(op##MI)
+HIPSTR_MOVE_FLAG_STACK_SHAPES(HIPSTR_SAME_SHAPE)
+HIPSTR_ALU_OPS(HIPSTR_SAME_ALU_SHAPES)
+#undef HIPSTR_SAME_ALU_SHAPES
+#undef HIPSTR_SAME_SHAPE
+static_assert(static_cast<unsigned>(TraceH::JccGuard) ==
+              kNumStraightShapes);
+
+/** The handler of straight-line shape @p s. */
+constexpr TraceH
+traceHandler(ExecShape s)
+{
+    return static_cast<TraceH>(s);
+}
+
 /**
- * Index of @p h within the ALU family, or -1 for any other handler.
- * index % 5 is the operand shape (0 RR, 1 RI, 2 RM, 3 MR, 4 MI) and
- * index / 5 the op, in HIPSTR_SUPERTRACE_ALU_OPS order.
+ * Index of @p h within the ALU family, or -1 for any other handler
+ * (aluIndex() of the same shape).
  */
 inline int
 traceAluIndex(TraceH h)
 {
-    if (h < TraceH::AddRR || h >= TraceH::JccGuard)
+    if (h >= TraceH::JccGuard)
         return -1;
-    return static_cast<int>(h) - static_cast<int>(TraceH::AddRR);
+    return aluIndex(static_cast<ExecShape>(h));
 }
 
 /**

@@ -529,11 +529,13 @@ TEST(Memory, SpanProbe8MatchesTryAccessNearEveryEdge)
 TEST(Memory, PageTableMatchesSpanRuleNearEveryEdgeAndPage)
 {
     // Checked accesses resolve permissions through a byte-per-page
-    // table with a span fallback on pages a span edge cuts through.
-    // On random layouts with unaligned edges, every checked access
-    // near a region edge or a page boundary must agree with the span
-    // rule: in bounds, and the first byte's region (the last
-    // definition covering it) grants the permission.
+    // table, a split list for pages one span edge cuts through, and a
+    // span fallback for pages that two or more edges cut. On random
+    // layouts with unaligned edges, every checked access near a
+    // region edge or a page boundary, and at every byte of a page
+    // with one edge or two, must agree with the span rule: in bounds,
+    // and the first byte's region (the last definition covering it)
+    // grants the permission.
     struct Def
     {
         Addr base;
@@ -567,6 +569,23 @@ TEST(Memory, PageTableMatchesSpanRuleNearEveryEdgeAndPage)
         define(0x5000, 0x2000, perms[rng.below(std::size(perms))]);
         const uint32_t tail = 1 + static_cast<uint32_t>(rng.below(0x1800));
         define(end - tail, tail, perms[rng.below(std::size(perms))]);
+        // Clear of the random regions: pages 0x20000 and 0x22000 with
+        // one edge each, page 0x30000 with two, and page 0x40000 with
+        // two edges from two regions.
+        auto inPage = [&] {
+            return 1 + static_cast<uint32_t>(
+                           rng.below(Memory::kPageBytes - 2));
+        };
+        const uint32_t lo = inPage(), hi = inPage();
+        define(0x20000 + lo, 0x2000 + hi - lo, PermRW);
+        uint32_t a = inPage(), b = inPage();
+        if (a > b)
+            std::swap(a, b);
+        define(0x30000 + a, b + 1 - a, PermR);
+        define(0x40000, a, PermRX);
+        define(0x40000 + b, 0x2000, PermRW);
+        const Addr whole_pages[] = { 0x20000, 0x22000, 0x30000,
+                                     0x40000 };
 
         auto spanRule = [&](Addr addr, unsigned len, Perm needed) {
             if (uint64_t(addr) + len > end)
@@ -589,6 +608,12 @@ TEST(Memory, PageTableMatchesSpanRuleNearEveryEdgeAndPage)
         for (Addr page = end - 0x2000; page <= end;
              page += Memory::kPageBytes)
             marks.push_back(page);
+        // Every byte of the one- and two-edge pages.
+        for (Addr page : whole_pages) {
+            for (Addr addr = page + 8; addr < page + Memory::kPageBytes;
+                 addr += 17)
+                marks.push_back(addr);
+        }
 
         for (Addr mark : marks) {
             for (Addr addr = mark >= 8 ? mark - 8 : 0; addr <= mark + 8;
