@@ -144,8 +144,8 @@ aluCompute(Op op, uint32_t a, uint32_t b)
 }
 
 /**
- * The per-op executor: today's semantics for every op and operand
- * form, dispatched on the op and the operand kinds. It is the tail of
+ * The per-op executor: the semantics of every op and operand form,
+ * dispatched on the op and the operand kinds. It is the tail of
  * executeInstInline's switch (ExecShape::PerOp) and the reference the
  * shaped cases must match.
  */
@@ -589,7 +589,6 @@ executeInstInline(ExecShape shape, const MachInst &mi,
     hipstr_panic("executeInst: invalid shape %u",
                  static_cast<unsigned>(shape));
 }
-
 
 } // namespace hipstr
 
