@@ -50,15 +50,6 @@ struct PsrConfig
     /** Global register cache entries (paper fixes this at 3). */
     unsigned regCacheEntries = 3;
 
-    /** Superblock formation limit (guest blocks inlined per unit). */
-    unsigned maxSuperblockBlocks = 8;
-
-    /** Block entries before a head is considered for trace formation. */
-    unsigned traceHotThreshold = 32;
-
-    /** Maximum guest blocks spliced into one trace (unrolling cap). */
-    unsigned traceMaxBlocks = 16;
-
     /**
      * The trace tier: superblock trace formation plus the JIT that
      * compiles every formed trace to direct x86-64 code. FromEnv

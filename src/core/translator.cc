@@ -1001,7 +1001,7 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
             (target_fi != nullptr && _fi != nullptr &&
              target_fi->funcId == _fi->funcId);
         if (cfg.superblocks() &&
-            _unit->guestBlocksInlined < cfg.maxSuperblockBlocks &&
+            _unit->guestBlocksInlined < kMaxSuperblockBlocks &&
             same_func && !_visited.count(mi.target)) {
             _visited.insert(mi.target);
             ++_unit->guestBlocksInlined;
@@ -1122,10 +1122,6 @@ TranslationContext::run(TranslateError &err)
         offsets[i] = cursor;
         ti.byteOff = static_cast<uint16_t>(cursor);
         cursor += ti.mi.size;
-        MemCounts mc = instMemCounts(ti.mi, _isa);
-        ti.memReads = mc.reads;
-        ti.memWrites = mc.writes;
-
         // The execution shape for the VM's one switch. A Jcc without
         // a wired exit keeps its plain Jcc shape and executes inline.
         if (ti.mi.op == Op::Jcc && ti.exitIdx >= 0)
@@ -1147,8 +1143,9 @@ TranslationContext::run(TranslateError &err)
         if (ti.guestStart)
             ++guest_cum;
         if (!exit_shape) {
-            reads_cum += ti.memReads;
-            writes_cum += ti.memWrites;
+            const MemCounts mc = instMemCounts(ti.mi, _isa);
+            reads_cum += mc.reads;
+            writes_cum += mc.writes;
         }
         ti.guestCum = guest_cum;
         ti.memReadsCum = reads_cum;

@@ -114,11 +114,6 @@ struct TInst
     /** First translated instruction of a guest instruction (used for
      *  dynamic guest-instruction accounting). */
     bool guestStart = false;
-    /** Data-memory accesses of mi, precomputed at translate time so
-     *  neither VM block loop counts accesses per operand. @{ */
-    uint8_t memReads = 0;
-    uint8_t memWrites = 0;
-    /** @} */
     /** Byte offset within the unit's encoding (I-fetch modelling). */
     uint16_t byteOff = 0;
     /**
@@ -180,6 +175,9 @@ enum class TranslateError
     None,
     BadInstruction ///< guest bytes do not decode at the entry
 };
+
+/** Superblock formation limit (guest blocks inlined per unit). */
+constexpr unsigned kMaxSuperblockBlocks = 8;
 
 /**
  * Translates guest code under a Randomizer's relocation maps. One

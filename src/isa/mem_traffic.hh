@@ -2,11 +2,13 @@
  * @file
  * The single source of truth for per-instruction data-memory traffic.
  *
- * Three consumers walk this one enumeration: the translator, which
- * bakes the counts into each translated instruction (the VM credits
- * memReads/memWrites from them in both of its block loops), the VM's
- * timed loop, which forms the addresses for the timing model, and the
- * timing model's native step. So an instruction can never be
+ * Every data-access rule reads this one enumeration: the translator
+ * sums its counts (instMemCounts) into each translated instruction's
+ * running totals, which the VM credits in both of its block loops;
+ * the executor's per-op tail reports its accesses through it to the
+ * timing sinks, and the shaped cases report exactly the same ones
+ * (classifyExec); the trace JIT's memory probe forms the addresses
+ * it validates from it. So an instruction can never be
  * double-counted on one engine and missed on the other.
  *
  * Enumeration order is reads first (src1, src2), then the destination
@@ -88,47 +90,17 @@ forEachMemAccess(const MachInst &mi, const MachineState &state,
 }
 
 /**
- * The counts forEachMemAccess would produce for @p mi on @p isa —
- * a static property of the instruction, computable at translate time.
+ * The counts forEachMemAccess produces for @p mi on @p isa — a static
+ * property of the instruction, computable at translate time (the
+ * register values only move the addresses).
  */
 inline MemCounts
 instMemCounts(const MachInst &mi, IsaKind isa)
 {
     MemCounts c;
-    auto operand = [&](const Operand &o, bool write) {
-        if (o.isMem()) {
-            if (write)
-                ++c.writes;
-            else
-                ++c.reads;
-        }
-    };
-    if (mi.op == Op::Lea)
-        return c;
-    if (mi.op == Op::Mov || mi.op == Op::Movb) {
-        operand(mi.src1, false);
-        operand(mi.dst, true);
-    } else {
-        operand(mi.src1, false);
-        operand(mi.src2, false);
-        operand(mi.dst, true);
-    }
-    switch (mi.op) {
-      case Op::Push:
-        ++c.writes;
-        break;
-      case Op::Call:
-      case Op::CallInd:
-        if (isa == IsaKind::Cisc)
-            ++c.writes;
-        break;
-      case Op::Pop:
-      case Op::Ret:
-        ++c.reads;
-        break;
-      default:
-        break;
-    }
+    forEachMemAccess(mi, MachineState(isa), [&c](Addr, bool write) {
+        ++(write ? c.writes : c.reads);
+    });
     return c;
 }
 

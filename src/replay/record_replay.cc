@@ -276,9 +276,11 @@ serverConfigHash(const ServerConfig &cfg, bool shard)
     w.u32(p.codeCacheBytes);
     w.u32(p.ratEntries);
     w.u32(p.regCacheEntries);
-    w.u32(p.maxSuperblockBlocks);
-    w.u32(p.traceHotThreshold);
-    w.u32(p.traceMaxBlocks);
+    // The fixed formation limits keep their hash slots, so config
+    // hashes and recorded journals stay stable.
+    w.u32(kMaxSuperblockBlocks);
+    w.u32(PsrVm::kTraceHotThreshold);
+    w.u32(kTraceMaxBlocks);
     w.boolean(p.isomeronMode);
     w.u64(p.seed);
     w.f64(cfg.hipstr.diversificationProbability);

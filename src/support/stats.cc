@@ -80,38 +80,6 @@ Histogram::percentile(double p) const
     return static_cast<uint64_t>(_bins.size() - 1) * _binWidth;
 }
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    auto it = _counters.find(name);
-    if (it == _counters.end())
-        it = _counters.emplace(name, Counter(name)).first;
-    return it->second;
-}
-
-const Counter *
-StatGroup::find(const std::string &name) const
-{
-    auto it = _counters.find(name);
-    return it == _counters.end() ? nullptr : &it->second;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : _counters)
-        kv.second.reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &kv : _counters) {
-        os << _name << "." << kv.first << " = " << kv.second.value()
-           << "\n";
-    }
-}
-
 TextTable::TextTable(std::vector<std::string> headers)
     : _headers(std::move(headers))
 {

@@ -1,40 +1,20 @@
 /**
  * @file
  * Lightweight statistics package used by the simulator, the PSR virtual
- * machine, and the benchmark harnesses. Supports scalar counters,
- * formulas over counters, histograms, and tabular text output shaped
- * like the paper's tables.
+ * machine, and the benchmark harnesses: histograms, and tabular text
+ * output shaped like the paper's tables.
  */
 
 #ifndef HIPSTR_SUPPORT_STATS_HH
 #define HIPSTR_SUPPORT_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 namespace hipstr
 {
-
-/** A named scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name) : _name(std::move(name)) {}
-
-    void inc(uint64_t delta = 1) { _value += delta; }
-    void set(uint64_t v) { _value = v; }
-    void reset() { _value = 0; }
-    uint64_t value() const { return _value; }
-    const std::string &name() const { return _name; }
-
-  private:
-    std::string _name;
-    uint64_t _value = 0;
-};
 
 /**
  * A histogram over integer samples with fixed-width bins. Used, e.g.,
@@ -92,33 +72,6 @@ class Histogram
     std::vector<uint64_t> _bins;
     uint64_t _samples = 0;
     uint64_t _sum = 0;
-};
-
-/**
- * A named group of counters; modules own one and register counters into
- * it so harnesses can dump everything uniformly.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
-
-    /** Get-or-create a counter within this group. */
-    Counter &counter(const std::string &name);
-    /** Lookup without creation; nullptr if absent. */
-    const Counter *find(const std::string &name) const;
-
-    void reset();
-    void dump(std::ostream &os) const;
-    const std::string &name() const { return _name; }
-    const std::map<std::string, Counter> &counters() const
-    {
-        return _counters;
-    }
-
-  private:
-    std::string _name;
-    std::map<std::string, Counter> _counters;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 
+#include "isa/mem_traffic.hh"
 #include "support/logging.hh"
 #include "vm/jit/compiler.hh"
 #include "vm/psr_vm.hh"
@@ -130,60 +131,27 @@ int
 TraceJit::memProbe(JitFrame *f, uint32_t op_idx)
 {
     const TraceOp &op = f->trace->ops[op_idx];
-    Memory &mem = f->vm->mem();
-    const uint32_t *regs = f->regs;
+    PsrVm &vm = *f->vm;
+    Memory &mem = vm.mem();
     Memory::SpanHint &h = f->opHints[op_idx];
-    bool ok;
-    switch (op.h) {
-      case TraceH::MovRM:
-        ok = mem.probe32Span(h, regs[op.b] + op.imm, PermR);
-        break;
-      case TraceH::MovMR:
-      case TraceH::MovMI:
-        ok = mem.probe32Span(h, regs[op.a] + op.imm, PermW);
-        break;
-      case TraceH::MovbRM:
-        ok = mem.probe8Span(h, regs[op.b] + op.imm, PermR);
-        break;
-      case TraceH::MovbMR:
-      case TraceH::MovbMI:
-        ok = mem.probe8Span(h, regs[op.a] + op.imm, PermW);
-        break;
-      case TraceH::CmpRM:
-      case TraceH::TestRM:
-        ok = mem.probe32Span(h, regs[op.c] + op.imm2, PermR);
-        break;
-      case TraceH::CmpMR:
-      case TraceH::CmpMI:
-      case TraceH::TestMR:
-      case TraceH::TestMI:
-        ok = mem.probe32Span(h, regs[op.b] + op.imm, PermR);
-        break;
-      case TraceH::PushR:
-      case TraceH::PushI:
-        ok = mem.probe32Span(h, regs[op.a] - kWordSize, PermW);
-        break;
-      case TraceH::PopR:
-        ok = mem.probe32Span(h, regs[op.a], PermR);
-        break;
-      default: {
-        const int alu = traceAluIndex(op.h);
-        const int shape = alu < 0 ? -1 : alu % 5;
-        if (shape == 2) { // ALU RM: read [R(c)+imm2]
-            ok = mem.probe32Span(h, regs[op.c] + op.imm2, PermR);
-        } else if (shape == 3 || shape == 4) {
-            // ALU MR/MI read-modify-write the slot at [R(a)+imm]:
-            // permission spans are uniform, so one window verified
-            // for both directions admits the whole RMW.
-            const Addr slot = regs[op.a] + op.imm;
-            ok = mem.probe32Span(h, slot, PermR) &&
-                mem.probe32Span(h, slot, PermW);
-        } else {
-            hipstr_panic("jit memProbe: op %u is not a memory op",
-                         static_cast<unsigned>(op.h));
-        }
-        break;
-      }
+    // The compiled body flushed the guest registers into vm.state, so
+    // the instruction's own operand walk forms the addresses. Both
+    // directions of a read-modify-write probe the op's one hint:
+    // permission spans are uniform, so one window verified for both
+    // admits the whole access.
+    const bool byte = op.ti->mi.op == Op::Movb;
+    bool ok = true;
+    unsigned accesses = 0;
+    forEachMemAccess(op.ti->mi, vm.state, [&](Addr a, bool write) {
+        const Perm perm = write ? PermW : PermR;
+        ++accesses;
+        ok = ok &&
+            (byte ? mem.probe8Span(h, a, perm)
+                  : mem.probe32Span(h, a, perm));
+    });
+    if (accesses == 0) {
+        hipstr_panic("jit memProbe: op %u is not a memory op",
+                     static_cast<unsigned>(op.h));
     }
     if (ok)
         return 1;

@@ -368,25 +368,26 @@ PsrVm::dispatchTo(Addr target, VmRunResult &stop)
 {
     state.pc = target;
     ++stats.dispatches; // every dispatcher entry costs a lookup
-    TranslatedBlock *next = _cache.lookup(target);
-    if (next != nullptr)
-        return next;
-    next = fetchBlock(target, stop);
-    return next;
+    return fetchBlock(target, stop);
 }
 
-// Post-SFI tail of an indirect transfer: the code-cache-miss
-// security policy of Section 3.5. Callers have already counted
-// the transfer and run the SFI check.
-TranslatedBlock *
-PsrVm::indirectResolve(Addr target, VmRunResult &stop)
+bool
+PsrVm::sfiAdmits(Addr target, VmRunResult &stop)
 {
-    state.pc = target;
-    ++stats.dispatches;
-    TranslatedBlock *next = _cache.lookup(target);
-    if (next != nullptr)
-        return next;
-    if (!_vetted.empty() && consumeVetted(target))
+    ++stats.indirectTransfers;
+    if (!_cache.contains(target))
+        return true;
+    stop.reason = VmStop::SfiViolation;
+    stop.stopPc = target;
+    return false;
+}
+
+TranslatedBlock *
+PsrVm::cacheMiss(Addr target, VmRunResult &stop)
+{
+    // A target in the restored vetted set is consumed and translates
+    // silently: the uninterrupted run would have hit the cache here.
+    if (!_vetted.empty() && _vetted.erase(target) != 0)
         return fetchBlock(target, stop);
     // Indirect control transfer missing the code cache: the
     // PSR virtual machine suspects a security breach.
@@ -406,22 +407,53 @@ PsrVm::indirectResolve(Addr target, VmRunResult &stop)
         stop.migrationTarget = target;
         return nullptr;
     }
-    next = fetchBlock(target, stop);
-    return next;
+    return fetchBlock(target, stop);
 }
 
-// Handle an indirect transfer to @p target: SFI check, then the
-// code-cache-miss security policy.
+// Post-SFI tail of an indirect exit or a syscall redirect: one
+// dispatcher entry, counted before the lookup.
 TranslatedBlock *
-PsrVm::indirectDispatch(Addr target, VmRunResult &stop)
+PsrVm::indirectResolve(Addr target, VmRunResult &stop)
 {
-    ++stats.indirectTransfers;
-    if (_cache.contains(target)) {
-        stop.reason = VmStop::SfiViolation;
-        stop.stopPc = target;
+    state.pc = target;
+    ++stats.dispatches;
+    TranslatedBlock *next = _cache.lookup(target);
+    return next != nullptr ? next : cacheMiss(target, stop);
+}
+
+TranslatedBlock *
+PsrVm::ratReturn(Addr target, VmRunResult &stop)
+{
+    if (controlTraceHook)
+        controlTraceHook(target, 'R');
+    if (_cfg.isomeronMode)
+        ++stats.diversificationFlips;
+    if (!sfiAdmits(target, stop))
         return nullptr;
+    state.pc = target;
+    Addr translated;
+    TranslatedBlock *memo = nullptr;
+    if (_rat.lookup(target, translated, memo)) {
+        ++stats.ratHits;
+        // Memoized translation: one RAT probe, zero hash lookups.
+        // Valid because every code-cache flush also flushes the RAT.
+        if (memo != nullptr)
+            return memo;
+        // A checkpoint-restored entry carries no memo (rat.hh): the
+        // return stays a RAT hit and refetches silently.
+        return fetchBlock(target, stop);
     }
-    return indirectResolve(target, stop);
+    ++stats.ratMisses;
+    // Trap into the translator. The dispatcher entry is counted only
+    // once the target resolves.
+    TranslatedBlock *next = _cache.lookup(target);
+    if (next == nullptr)
+        next = cacheMiss(target, stop);
+    if (next == nullptr)
+        return nullptr;
+    _rat.insert(target, target, next);
+    ++stats.dispatches;
+    return next;
 }
 
 // Push/record a source return address for a call exit and make
@@ -462,19 +494,6 @@ PsrVm::runLoop(uint64_t max_guest_insts)
     if (blk == nullptr)
         return stop;
     ++stats.dispatches;
-
-    auto dispatch = [&](Addr target) -> TranslatedBlock * {
-        return dispatchTo(target, stop);
-    };
-    auto indirect_dispatch = [&](Addr target) -> TranslatedBlock * {
-        return indirectDispatch(target, stop);
-    };
-    auto emit_call_linkage = [&](Addr source_ra) -> bool {
-        return emitCallLinkage(source_ra, stop);
-    };
-    auto indirect_resolve = [&](Addr target) -> TranslatedBlock * {
-        return indirectResolve(target, stop);
-    };
 
     // The timing sink, like the loop variant, is chosen once per run.
     [[maybe_unused]] TimingHarness *const sink = timing;
@@ -519,7 +538,7 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                         // Mid-trace capacity flush: re-enter through
                         // the ordinary counting dispatcher, exactly
                         // as the baseline's flush-dirtied chain does.
-                        blk = dispatch(tx.target);
+                        blk = dispatchTo(tx.target, stop);
                         if (blk == nullptr)
                             return stop;
                         if (stats.guestInsts >= guest_budget) {
@@ -534,10 +553,9 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                         from_resume = true;
                     }
                 } else if (!blk->traceDead &&
-                           ++blk->hotCount >= _cfg.traceHotThreshold) {
+                           ++blk->hotCount >= kTraceHotThreshold) {
                     _traces.collectRetired();
-                    if (_traces.tryForm(blk, _cfg,
-                                        isaDescriptor(_isa).spReg,
+                    if (_traces.tryForm(blk, isaDescriptor(_isa).spReg,
                                         _cfg.isomeronMode,
                                         _cache.flushes()) == nullptr) {
                         if (++blk->traceFails >= 4)
@@ -564,9 +582,10 @@ PsrVm::runLoop(uint64_t max_guest_insts)
         resume_i = 0;
         size_t credited = 0; ///< insts already folded into stats
         int taken_exit = -1;
-        Addr ret_target = 0;
-        bool is_ret = false;
-        bool redirected = false;
+        // The block that runs next. A return or a syscall redirect
+        // resolves it inside the loop below, a taken exit after it;
+        // nullptr once resolved means the run stops.
+        TranslatedBlock *next = nullptr;
 
         // Fold insts [credited, idx] into stats (cums are inclusive).
         // Called before anything that can observe the counters: exits,
@@ -636,9 +655,10 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                 break;
             }
             if (ti.shape == ExecShape::RetExit) {
-                // Pop the source return address; translate through
-                // the RAT below.
+                // Pop the source return address and translate it
+                // through the RAT.
                 uint32_t sp = state.sp();
+                Addr ret_target;
                 if (!_mem.tryRead32(sp, ret_target)) {
                     stop.reason = VmStop::Fault;
                     stop.stopPc = blk->srcStart;
@@ -648,7 +668,7 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                 if constexpr (Timed)
                     sink->data(sp);
                 state.setSp(sp + kWordSize);
-                is_ret = true;
+                next = ratReturn(ret_target, stop);
                 break;
             }
 
@@ -676,249 +696,148 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                 // other ISA).
                 if (controlTraceHook)
                     controlTraceHook(state.pc, 'J');
-                blk = indirect_dispatch(state.pc);
-                if (blk == nullptr)
-                    return stop;
-                redirected = true;
+                if (sfiAdmits(state.pc, stop))
+                    next = indirectResolve(state.pc, stop);
                 break;
             }
             ++i;
         }
+        hipstr_assert(i < n);
 
-        if (redirected) {
-            if (stats.guestInsts >= guest_budget) {
-                stop.reason = VmStop::StepLimit;
-                stop.stopPc = state.pc;
-                return stop;
+        if (taken_exit >= 0) {
+            const size_t exit_idx = static_cast<size_t>(taken_exit);
+            const Addr owner_src = blk->srcStart;
+            // Translating a target below can flush the code cache and
+            // destroy the exit's owning block, so everything needed
+            // from the exit is copied into locals up front and every
+            // pointer taken from it is discarded when the flush
+            // generation moves.
+            const uint64_t flushes_at_exit = _cache.flushes();
+            BlockExit &exit_slot = blk->exits[exit_idx];
+            if constexpr (!Timed) {
+                // Edge profile for the superblock trace builder. The
+                // timed loop never forms traces, so it skips the count.
+                ++exit_slot.hitCount;
             }
-            continue;
-        }
+            const BlockExit &exit = exit_slot;
 
-        // ---- Return handling: RAT translation of the source RA. ----
-        if (is_ret) {
-            if (controlTraceHook)
-                controlTraceHook(ret_target, 'R');
-            if (_cfg.isomeronMode)
-                ++stats.diversificationFlips;
-            ++stats.indirectTransfers;
-            if (_cache.contains(ret_target)) {
-                stop.reason = VmStop::SfiViolation;
-                stop.stopPc = ret_target;
+            // Re-resolve the owner before writing a chain pointer or
+            // an IBTC entry: the owner may have been destroyed by a
+            // capacity flush.
+            auto live_exit = [&]() -> BlockExit * {
+                TranslatedBlock *owner = _cache.lookup(owner_src);
+                if (owner == nullptr || exit_idx >= owner->exits.size())
+                    return nullptr;
+                return &owner->exits[exit_idx];
+            };
+
+            switch (exit.kind) {
+              case BlockExit::Kind::Halt:
+                stop.reason = VmStop::Halted;
+                stop.stopPc = owner_src;
                 return stop;
-            }
-            Addr translated;
-            TranslatedBlock *memo = nullptr;
-            if (_rat.lookup(ret_target, translated, memo)) {
-                ++stats.ratHits;
-                state.pc = ret_target;
-                if (memo != nullptr) {
-                    // Memoized translation: one RAT probe, zero hash
-                    // lookups. Valid because every code-cache flush
-                    // also flushes the RAT.
-                    blk = memo;
-                } else {
-                    blk = _cache.lookup(ret_target);
-                    if (blk == nullptr) {
-                        // Stale RAT entry (should not happen: flushes
-                        // clear the RAT) — treat as a miss.
-                        blk = fetchBlock(ret_target, stop);
-                        if (blk == nullptr)
-                            return stop;
+
+              case BlockExit::Kind::Branch:
+              case BlockExit::Kind::Call: {
+                const Addr target = exit.target;
+                TranslatedBlock *chained = exit.chained;
+                if (exit.kind == BlockExit::Kind::Call) {
+                    if (controlTraceHook)
+                        controlTraceHook(target, 'C');
+                    if (!emitCallLinkage(exit.returnTo, stop))
+                        return stop;
+                    if (_cache.flushes() != flushes_at_exit) {
+                        // The eager return-point translation flushed
+                        // the cache: the chain pointer read above
+                        // dangles.
+                        chained = nullptr;
                     }
-                }
-            } else {
-                ++stats.ratMisses;
-                // Trap into the translator.
-                state.pc = ret_target;
-                TranslatedBlock *next = _cache.lookup(ret_target);
-                if (next == nullptr && !_vetted.empty() &&
-                    consumeVetted(ret_target)) {
-                    next = fetchBlock(ret_target, stop);
-                    if (next == nullptr)
-                        return stop;
-                }
-                if (next == nullptr) {
-                    // Code cache miss on an indirect transfer.
-                    ++stats.codeCacheMisses;
-                    ++stats.securityEvents;
-                    if (securityEventHook &&
-                        securityEventHook(ret_target)) {
-                        ++stats.migrationsRequested;
-                        stop.reason = VmStop::MigrationRequested;
-                        stop.stopPc = ret_target;
-                        stop.migrationTarget = ret_target;
-                        return stop;
+                    if (_cfg.isomeronMode) {
+                        // The diversifier flips a coin and dispatches
+                        // to the chosen program variant — chaining is
+                        // impossible.
+                        ++stats.diversificationFlips;
+                        next = dispatchTo(target, stop);
+                        break;
                     }
-                    next = fetchBlock(ret_target, stop);
-                    if (next == nullptr)
-                        return stop;
+                } else if (controlTraceHook) {
+                    controlTraceHook(target, 'B');
                 }
-                _rat.insert(ret_target, ret_target, next);
-                ++stats.dispatches;
-                blk = next;
-            }
-            if (stats.guestInsts >= guest_budget) {
-                stop.reason = VmStop::StepLimit;
-                stop.stopPc = state.pc;
-                return stop;
-            }
-            continue;
-        }
-
-        hipstr_assert(taken_exit >= 0);
-        const size_t exit_idx = static_cast<size_t>(taken_exit);
-        const Addr owner_src = blk->srcStart;
-        // Translating a target below can flush the code cache and
-        // destroy the exit's owning block, so everything needed from
-        // the exit is copied into locals up front and every pointer
-        // taken from it is discarded when the flush generation moves.
-        const uint64_t flushes_at_exit = _cache.flushes();
-        BlockExit &exit_slot = blk->exits[exit_idx];
-        if constexpr (!Timed) {
-            // Edge profile for the superblock trace builder. The
-            // timed loop never forms traces, so it skips the count.
-            ++exit_slot.hitCount;
-        }
-        const BlockExit &exit = exit_slot;
-
-        // Re-resolve the owner before writing a chain pointer: the
-        // owner may have been destroyed by a capacity flush.
-        auto patch_chain = [&](TranslatedBlock *next) {
-            if (!_cfg.superblocks() || next == nullptr)
-                return;
-            TranslatedBlock *owner = _cache.lookup(owner_src);
-            if (owner != nullptr && exit_idx < owner->exits.size())
-                owner->exits[exit_idx].chained = next;
-        };
-
-        // Install an IBTC entry on the owner's live exit (re-resolved
-        // like patch_chain): @p target already passed the full
-        // indirect-dispatch security policy this transfer.
-        auto update_ibtc = [&](Addr target, TranslatedBlock *next) {
-            TranslatedBlock *owner = _cache.lookup(owner_src);
-            if (owner != nullptr && exit_idx < owner->exits.size())
-                owner->exits[exit_idx].ibtc.insert(target, next);
-        };
-
-        switch (exit.kind) {
-          case BlockExit::Kind::Halt:
-            stop.reason = VmStop::Halted;
-            stop.stopPc = owner_src;
-            return stop;
-
-          case BlockExit::Kind::Branch: {
-            const Addr target = exit.target;
-            TranslatedBlock *chained = exit.chained;
-            if (controlTraceHook)
-                controlTraceHook(target, 'B');
-            if (chained != nullptr) {
-                ++stats.chainFollows;
-                state.pc = target;
-                blk = chained;
-            } else {
-                blk = dispatch(target);
-                if (blk == nullptr)
-                    return stop;
-                patch_chain(blk);
-            }
-            break;
-          }
-
-          case BlockExit::Kind::Call: {
-            const Addr target = exit.target;
-            const Addr return_to = exit.returnTo;
-            TranslatedBlock *chained = exit.chained;
-            if (controlTraceHook)
-                controlTraceHook(target, 'C');
-            if (!emit_call_linkage(return_to))
-                return stop;
-            if (_cache.flushes() != flushes_at_exit) {
-                // The eager return-point translation flushed the
-                // cache: the chain pointer read above dangles.
-                chained = nullptr;
-            }
-            if (_cfg.isomeronMode) {
-                // The diversifier flips a coin and dispatches to the
-                // chosen program variant — chaining is impossible.
-                ++stats.diversificationFlips;
-                blk = dispatch(target);
-                if (blk == nullptr)
-                    return stop;
+                // Follow the chain, or dispatch and patch it.
+                if (chained != nullptr) {
+                    ++stats.chainFollows;
+                    state.pc = target;
+                    next = chained;
+                    break;
+                }
+                next = dispatchTo(target, stop);
+                if (next != nullptr && _cfg.superblocks()) {
+                    if (BlockExit *live = live_exit())
+                        live->chained = next;
+                }
                 break;
-            }
-            if (chained != nullptr) {
-                ++stats.chainFollows;
-                state.pc = target;
-                blk = chained;
-            } else {
-                blk = dispatch(target);
-                if (blk == nullptr)
-                    return stop;
-                patch_chain(blk);
-            }
-            break;
-          }
+              }
 
-          case BlockExit::Kind::IndirectCall:
-          case BlockExit::Kind::IndirectJump: {
-            const bool is_call =
-                exit.kind == BlockExit::Kind::IndirectCall;
-            const Addr return_to = exit.returnTo;
-            // Read the target from its (possibly relocated) home.
-            uint32_t target;
-            if (exit.targetOperand.isMem()) {
-                Addr a = state.reg(exit.targetOperand.base) +
-                    static_cast<uint32_t>(exit.targetOperand.disp);
-                if (!_mem.tryRead32(a, target)) {
-                    stop.reason = VmStop::Fault;
-                    stop.stopPc = owner_src;
-                    return stop;
+              case BlockExit::Kind::IndirectCall:
+              case BlockExit::Kind::IndirectJump: {
+                // Read the target from its (possibly relocated) home.
+                uint32_t target;
+                if (exit.targetOperand.isMem()) {
+                    Addr a = state.reg(exit.targetOperand.base) +
+                        static_cast<uint32_t>(exit.targetOperand.disp);
+                    if (!_mem.tryRead32(a, target)) {
+                        stop.reason = VmStop::Fault;
+                        stop.stopPc = owner_src;
+                        return stop;
+                    }
+                    ++stats.memReads;
+                } else {
+                    target = state.reg(exit.targetOperand.reg);
                 }
-                ++stats.memReads;
-            } else {
-                target = state.reg(exit.targetOperand.reg);
-            }
-            // Consult the site's inline cache while the exit is
-            // still guaranteed live (nothing has translated yet).
-            TranslatedBlock *ibtc_hit = exit.ibtc.lookup(target);
-            if (controlTraceHook)
-                controlTraceHook(target, 'I');
-            if (is_call) {
-                if (!emit_call_linkage(return_to))
-                    return stop;
-                if (_cache.flushes() != flushes_at_exit) {
-                    // Linkage translation flushed the cache; the
-                    // cached block pointer is gone with it.
-                    ibtc_hit = nullptr;
+                // Consult the site's inline cache while the exit is
+                // still guaranteed live (nothing has translated yet).
+                TranslatedBlock *ibtc_hit = exit.ibtc.lookup(target);
+                if (controlTraceHook)
+                    controlTraceHook(target, 'I');
+                if (exit.kind == BlockExit::Kind::IndirectCall) {
+                    if (!emitCallLinkage(exit.returnTo, stop))
+                        return stop;
+                    if (_cache.flushes() != flushes_at_exit) {
+                        // Linkage translation flushed the cache; the
+                        // cached block pointer is gone with it.
+                        ibtc_hit = nullptr;
+                    }
                 }
-            }
-            ++stats.indirectTransfers;
-            // SFI first, always — a cached target can never point
-            // into the cache region, but the check is the security
-            // boundary and stays in front unconditionally.
-            if (_cache.contains(target)) {
-                stop.reason = VmStop::SfiViolation;
-                stop.stopPc = target;
-                return stop;
-            }
-            if (ibtc_hit != nullptr) {
-                // Inline-cache hit: this (site, target) pair passed
-                // the full Section 3.5 policy before, and the block
-                // survived (no flush since). Same counter semantics
-                // as the lookup-hit dispatch it replaces.
-                state.pc = target;
-                ++stats.dispatches;
-                blk = ibtc_hit;
-            } else {
-                blk = indirect_resolve(target);
-                if (blk == nullptr)
+                // SFI first, always — a cached target can never point
+                // into the cache region, but the check is the security
+                // boundary and stays in front unconditionally.
+                if (!sfiAdmits(target, stop))
                     return stop;
-                update_ibtc(target, blk);
+                if (ibtc_hit != nullptr) {
+                    // Inline-cache hit: this (site, target) pair passed
+                    // the full Section 3.5 policy before, and the block
+                    // survived (no flush since). Same counter semantics
+                    // as the lookup-hit dispatch it replaces.
+                    state.pc = target;
+                    ++stats.dispatches;
+                    next = ibtc_hit;
+                    break;
+                }
+                next = indirectResolve(target, stop);
+                if (next != nullptr) {
+                    if (BlockExit *live = live_exit())
+                        live->ibtc.insert(target, next);
+                }
+                break;
+              }
             }
-            break;
-          }
         }
 
+        // The one exit tail: a stopped transfer ends the run, and
+        // the budget is checked at every block boundary.
+        if (next == nullptr)
+            return stop;
+        blk = next;
         if (stats.guestInsts >= guest_budget) {
             stop.reason = VmStop::StepLimit;
             stop.stopPc = state.pc;

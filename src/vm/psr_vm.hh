@@ -161,6 +161,9 @@ class PsrVm
      */
     telemetry::PhaseStats translatePhase;
 
+    /** Block entries before a head is considered for trace formation. */
+    static constexpr unsigned kTraceHotThreshold = 32;
+
     /** Point the VM at the program entry with a fresh stack. */
     void reset();
 
@@ -285,14 +288,21 @@ class PsrVm
     VmRunResult runLoop(uint64_t max_guest_insts);
 
     /**
-     * Dispatch-loop transfer helpers, shared between the block loop
-     * and the trace JIT so both pay identical counter and security
-     * semantics. Each returns nullptr/false with @p stop filled when
-     * the run must end. @{
+     * Dispatch-loop transfer helpers; the trace JIT shares
+     * emitCallLinkage so both pay identical counter semantics. Each
+     * returns nullptr/false with @p stop filled when the run must
+     * end. @{
      */
     TranslatedBlock *dispatchTo(Addr target, VmRunResult &stop);
+    /** Count an indirect transfer and apply the SFI rule (Section
+        5.1): a target inside the code cache kills the process. */
+    bool sfiAdmits(Addr target, VmRunResult &stop);
+    /** The Section 3.5 policy for an indirect transfer that missed
+        the code cache: a security event unless restore-vetted. */
+    TranslatedBlock *cacheMiss(Addr target, VmRunResult &stop);
     TranslatedBlock *indirectResolve(Addr target, VmRunResult &stop);
-    TranslatedBlock *indirectDispatch(Addr target, VmRunResult &stop);
+    /** A return macro-op to @p target, translated through the RAT. */
+    TranslatedBlock *ratReturn(Addr target, VmRunResult &stop);
     bool emitCallLinkage(Addr source_ra, VmRunResult &stop);
     /** @} */
 
@@ -314,21 +324,6 @@ class PsrVm
 
     /** Modeled timestamp of "now" for trace events (cold paths). */
     double traceTs() const;
-
-    /**
-     * If @p target is in the restored vetted set, consume it and
-     * return true (the caller translates silently, no security
-     * event). Only reached on cold cache-miss paths.
-     */
-    bool
-    consumeVetted(Addr target)
-    {
-        auto it = _vetted.find(target);
-        if (it == _vetted.end())
-            return false;
-        _vetted.erase(it);
-        return true;
-    }
 
     const FatBinary &_bin;
     IsaKind _isa;

@@ -248,8 +248,8 @@ struct PlannedSeg
 } // namespace
 
 SuperTrace *
-TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
-                     uint8_t sp_reg, bool isomeron, uint64_t flush_gen)
+TraceEngine::tryForm(TranslatedBlock *head, uint8_t sp_reg,
+                     bool isomeron, uint64_t flush_gen)
 {
     ++stats.attempts;
 
@@ -263,7 +263,7 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
     std::vector<PlannedSeg> plan;
     TranslatedBlock *cur = head;
     bool loop_back = false;
-    while (plan.size() < cfg.traceMaxBlocks) {
+    while (plan.size() < kTraceMaxBlocks) {
         int e = dominantExit(cur);
         if (e < 0)
             break;

@@ -33,7 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/psr_config.hh"
 #include "core/translator.hh"
 
 namespace hipstr
@@ -190,6 +189,9 @@ struct TraceStats
     uint64_t invalidated = 0;
 };
 
+/** Maximum guest blocks spliced into one trace (unrolling cap). */
+constexpr unsigned kTraceMaxBlocks = 16;
+
 /**
  * Owns every trace of one VM. Formation walks dominant chained edges;
  * invalidation moves live traces to a retired list (freed only at
@@ -205,9 +207,8 @@ class TraceEngine
      * exists yet. @p flush_gen is the code cache's current flush
      * count; @p sp_reg the ISA's stack-pointer register index.
      */
-    SuperTrace *tryForm(TranslatedBlock *head, const PsrConfig &cfg,
-                        uint8_t sp_reg, bool isomeron,
-                        uint64_t flush_gen);
+    SuperTrace *tryForm(TranslatedBlock *head, uint8_t sp_reg,
+                        bool isomeron, uint64_t flush_gen);
 
     /** Retire every live trace (any code-cache flush). */
     void invalidateAll();

@@ -173,17 +173,6 @@ TEST(BitSet, UnionReportsChange)
     EXPECT_TRUE(a.test(3));
 }
 
-TEST(Stats, CounterAndGroup)
-{
-    StatGroup g("vm");
-    g.counter("misses").inc();
-    g.counter("misses").inc(4);
-    EXPECT_EQ(g.counter("misses").value(), 5u);
-    EXPECT_EQ(g.find("absent"), nullptr);
-    g.reset();
-    EXPECT_EQ(g.counter("misses").value(), 0u);
-}
-
 TEST(Stats, Histogram)
 {
     Histogram h("lat", 10, 5);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "test_util.hh"
@@ -655,6 +656,49 @@ TEST(PsrVm, TraceInvalidationOnCapacityFlush)
                 << label;
             EXPECT_EQ(off.stats.traceFollows, 0u) << label;
         }
+    }
+}
+
+TEST(PsrVm, EverySecurityEventLeavesATraceInstant)
+{
+    // Each indirect transfer that misses the code cache is one
+    // Section 3.5 security event and leaves one vm.security_event
+    // trace instant, whichever transfer took it. A flush mid-run
+    // makes the returns of every live frame miss both the RAT and
+    // the cache.
+    WorkloadConfig wcfg;
+    wcfg.scale = 1;
+    FatBinary bin = compileModule(buildWorkload("httpd", wcfg));
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = std::string("httpd/") + isaName(isa);
+        Memory mem;
+        loadFatBinary(bin, mem);
+        GuestOs os;
+        PsrConfig cfg;
+        PsrVm vm(bin, isa, mem, os, cfg);
+        telemetry::TraceBuffer trace(1 << 16);
+        trace.setMask(
+            telemetry::categoryBit(telemetry::TraceCategory::Vm));
+        vm.trace = &trace;
+        vm.reset();
+        ASSERT_EQ(vm.run(50'000).reason, VmStop::StepLimit) << label;
+
+        const uint64_t events_before = vm.stats.securityEvents;
+        const uint64_t rat_misses_before = vm.stats.ratMisses;
+        trace.clear();
+        vm.flushTranslations();
+        ASSERT_EQ(vm.run(400'000'000).reason, VmStop::Exited) << label;
+        ASSERT_EQ(trace.dropped(), 0u) << label;
+
+        uint64_t instants = 0;
+        for (const telemetry::TraceEvent &ev : trace.snapshot()) {
+            if (std::string(ev.name) == "vm.security_event")
+                ++instants;
+        }
+        EXPECT_GT(vm.stats.ratMisses, rat_misses_before) << label;
+        EXPECT_GT(vm.stats.securityEvents, events_before) << label;
+        EXPECT_EQ(instants, vm.stats.securityEvents - events_before)
+            << label;
     }
 }
 
