@@ -13,10 +13,13 @@
  *  - the journal and checkpoint sizes are pure functions of the
  *    configuration (deterministic across HIPSTR_JOBS).
  *
- * Wall-clock costs of the three runs land in the _host.json file;
+ * Wall-clock costs of the runs and the process's peak resident set
+ * size (ru_maxrss, MiB) land in the _host.json file;
  * everything in BENCH_record_replay.json is modeled/counted and
  * byte-identical for every HIPSTR_JOBS value.
  */
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -108,8 +111,9 @@ runRecordReplay()
     if (rep.report.signature != rec.report.signature)
         hipstr_fatal("replay diverged from the recording");
 
-    ReplayResult win =
-        replayWindow(bin, cfg, path, rec.rounds / 2);
+    ReplayResult win;
+    double winSec = wallSeconds(
+        [&] { win = replayWindow(bin, cfg, path, rec.rounds / 2); });
     if (win.report.signature != rec.report.signature)
         hipstr_fatal("windowed replay diverged from the recording");
     if (win.startRound == 0)
@@ -150,6 +154,11 @@ runRecordReplay()
     benchHostMetric("baseline_wall_seconds", baseSec);
     benchHostMetric("record_wall_seconds", recSec);
     benchHostMetric("replay_wall_seconds", repSec);
+    benchHostMetric("window_wall_seconds", winSec);
+    // The process high-water mark; ru_maxrss is in KiB.
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    benchHostMetric("peak_rss_mb", double(ru.ru_maxrss) / 1024.0);
 
     std::remove(path.c_str());
 }

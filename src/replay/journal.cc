@@ -1,6 +1,11 @@
 #include "journal.hh"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 
 namespace hipstr
 {
@@ -53,20 +58,33 @@ JournalWriter::~JournalWriter()
 void
 JournalWriter::record(RecordTag tag, const ByteWriter &payload)
 {
+    record(tag, payload, ByteWriter{});
+}
+
+void
+JournalWriter::record(RecordTag tag, const ByteWriter &head,
+                      const ByteWriter &tail)
+{
     FILE *f = static_cast<FILE *>(_file);
     if (f == nullptr)
         throw ReplayError(ReplayErrc::Io, "journal already closed");
-    ByteWriter head;
-    head.u8(static_cast<uint8_t>(tag));
-    head.u32(uint32_t(payload.size()));
-    if (std::fwrite(head.data().data(), 1, head.size(), f) != head.size() ||
-        (payload.size() != 0 &&
-         std::fwrite(payload.data().data(), 1, payload.size(), f) !=
-             payload.size())) {
+    uint64_t len = uint64_t(head.size()) + tail.size();
+    if (len > UINT32_MAX)
+        throw ReplayError(ReplayErrc::Io,
+                          "journal record too large: " + _path);
+    uint8_t rec[5] = { static_cast<uint8_t>(tag), uint8_t(len),
+                       uint8_t(len >> 8), uint8_t(len >> 16),
+                       uint8_t(len >> 24) };
+    auto put = [f](const ByteWriter &w) {
+        return w.size() == 0 ||
+            std::fwrite(w.data().data(), 1, w.size(), f) == w.size();
+    };
+    if (std::fwrite(rec, 1, sizeof(rec), f) != sizeof(rec) ||
+        !put(head) || !put(tail)) {
         throw ReplayError(ReplayErrc::Io,
                           "journal record write failed: " + _path);
     }
-    _bytes += head.size() + payload.size();
+    _bytes += sizeof(rec) + len;
 }
 
 void
@@ -88,7 +106,7 @@ Journal::checkpointAtOrBefore(uint64_t round) const
     for (const auto &kv : rounds) {
         if (kv.first > round)
             break;
-        if (!kv.second.checkpoint.empty())
+        if (kv.second.checkpointBytes != 0)
             best = kv.first;
     }
     return best;
@@ -96,6 +114,146 @@ Journal::checkpointAtOrBefore(uint64_t round) const
 
 namespace
 {
+
+/**
+ * Where the record loop reads a journal from: an in-memory image or
+ * an open file. It tracks the read offset against the source's size,
+ * so reading or skipping past the end throws Truncated before the
+ * underlying source is touched.
+ */
+class ByteSource
+{
+  public:
+    explicit ByteSource(uint64_t size) : _size(size) {}
+    virtual ~ByteSource() = default;
+    ByteSource(const ByteSource &) = delete;
+    ByteSource &operator=(const ByteSource &) = delete;
+
+    uint64_t offset() const { return _off; }
+    uint64_t remaining() const { return _size - _off; }
+    bool atEnd() const { return _off == _size; }
+
+    /** Copy the next @p n bytes into @p out. */
+    void
+    read(uint8_t *out, size_t n)
+    {
+        need(n);
+        fetch(out, n);
+        _off += n;
+    }
+
+    /** Step over the next @p n bytes unread. Bounded here by the
+     *  size, because a file seek past the end succeeds silently. */
+    void
+    skip(uint64_t n)
+    {
+        need(n);
+        if (n == 0)
+            return;
+        _off += n;
+        seek(_off);
+    }
+
+  protected:
+    /** Read @p n bytes at offset(); the size check already passed. */
+    virtual void fetch(uint8_t *out, size_t n) = 0;
+    /** Move the next fetch to @p off. */
+    virtual void seek(uint64_t off) = 0;
+
+  private:
+    void
+    need(uint64_t n) const
+    {
+        if (n > remaining())
+            throw ReplayError(ReplayErrc::Truncated,
+                              "journal ends mid-record");
+    }
+
+    uint64_t _size;
+    uint64_t _off = 0;
+};
+
+class MemorySource : public ByteSource
+{
+  public:
+    explicit MemorySource(const std::vector<uint8_t> &bytes)
+        : ByteSource(bytes.size()), _p(bytes.data())
+    {
+    }
+
+  private:
+    void
+    fetch(uint8_t *out, size_t n) override
+    {
+        if (n != 0)
+            std::memcpy(out, _p + offset(), n);
+    }
+
+    void seek(uint64_t) override {}
+
+    const uint8_t *_p;
+};
+
+/** An open file read from its start; the file stays open when the
+ *  source goes. */
+class FileSource : public ByteSource
+{
+  public:
+    FileSource(FILE *f, const std::string &path)
+        : ByteSource(sizeOf(f, path)), _f(f), _path(path)
+    {
+        seek(0);
+    }
+
+  private:
+    static uint64_t
+    sizeOf(FILE *f, const std::string &path)
+    {
+        struct stat st;
+        if (fstat(fileno(f), &st) != 0)
+            throw ReplayError(ReplayErrc::Io,
+                              "cannot stat journal: " + path);
+        return uint64_t(st.st_size);
+    }
+
+    void
+    fetch(uint8_t *out, size_t n) override
+    {
+        if (std::fread(out, 1, n, _f) == n)
+            return;
+        // The file shrank since it was measured, or the read failed.
+        throw ReplayError(std::ferror(_f) != 0 ? ReplayErrc::Io
+                                               : ReplayErrc::Truncated,
+                          "journal read failed: " + _path);
+    }
+
+    void
+    seek(uint64_t off) override
+    {
+        if (fseeko(_f, off_t(off), SEEK_SET) != 0)
+            throw ReplayError(ReplayErrc::Io,
+                              "journal seek failed: " + _path);
+    }
+
+    FILE *_f;
+    std::string _path;
+};
+
+struct FileCloser
+{
+    void operator()(FILE *f) const { std::fclose(f); }
+};
+using FilePtr = std::unique_ptr<FILE, FileCloser>;
+
+FilePtr
+openJournal(const std::string &path)
+{
+    FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        throw ReplayError(ReplayErrc::Io,
+                          "cannot open journal: " + path);
+    return FilePtr(f);
+}
 
 Request
 readRequest(ByteReader &r)
@@ -112,39 +270,58 @@ readRequest(ByteReader &r)
     return req;
 }
 
-} // namespace
+/** The longest record prefix any tag decodes (End: three u64s). The
+ *  rest of a record, a checkpoint payload included, is skipped
+ *  unread, so no record's length decides what is held in memory. */
+constexpr size_t kMaxDecoded = 24;
 
+/** A Checkpoint record's prefix before its payload: round u64,
+ *  payload length u32. */
+constexpr uint32_t kCheckpointHead = 12;
+
+/**
+ * The record loop behind both parseJournal overloads: read and
+ * validate the whole of @p src, indexing checkpoints by offset.
+ */
 Journal
-parseJournal(const std::vector<uint8_t> &bytes)
+readJournal(ByteSource &src)
 {
-    // SerializeError from the bounds-checked reader means the journal
-    // stops mid-record: map it onto the journal's own error taxonomy.
+    // Header, record heads and decoded bodies all pass through one
+    // buffer. SerializeError from the bounds-checked reader over it
+    // means a record stops short of what its tag decodes: map it onto
+    // the journal's own error taxonomy.
+    uint8_t buf[kMaxDecoded];
+    auto take = [&](size_t n) {
+        src.read(buf, n);
+        return ByteReader(buf, n);
+    };
+
     Journal j;
     try {
-        ByteReader r(bytes);
-        if (r.remaining() < 8 || r.u64() != kJournalMagic)
+        if (src.remaining() < 8 || take(8).u64() != kJournalMagic)
             throw ReplayError(ReplayErrc::BadMagic,
                               "not a HIPStR journal");
-        uint32_t version = r.u32();
+        uint32_t version = take(4).u32();
         if (version != kJournalVersion) {
             throw ReplayError(ReplayErrc::BadVersion,
                               "unsupported journal version " +
                                   std::to_string(version));
         }
-        j.configHash = r.u64();
+        j.configHash = take(8).u64();
 
         // Records accumulate into a pending round closed by its Sync.
         RoundData pending;
         uint64_t lastSynced = 0;
         bool sawEnd = false;
-        while (!r.atEnd()) {
-            uint8_t tag = r.u8();
-            uint32_t len = r.u32();
-            if (len > r.remaining())
+        while (!src.atEnd()) {
+            ByteReader head = take(5);
+            uint8_t tag = head.u8();
+            uint32_t len = head.u32();
+            if (len > src.remaining())
                 throw ReplayError(ReplayErrc::Truncated,
                                   "journal ends mid-record");
-            ByteReader body(r.ptr(), len);
-            r.skip(len);
+            uint64_t bodyStart = src.offset();
+            ByteReader body = take(std::min<size_t>(len, kMaxDecoded));
             switch (static_cast<RecordTag>(tag)) {
               case RecordTag::Request: {
                   Request req = readRequest(body);
@@ -200,12 +377,12 @@ parseJournal(const std::vector<uint8_t> &bytes)
                           ReplayErrc::Corrupt,
                           "checkpoint for an unsynced round");
                   uint32_t blob = body.u32();
-                  if (blob != body.remaining())
+                  if (blob != len - kCheckpointHead)
                       throw ReplayError(ReplayErrc::Corrupt,
                                         "checkpoint length mismatch");
-                  it->second.checkpoint.assign(
-                      body.ptr(), body.ptr() + blob);
-                  body.skip(blob);
+                  it->second.checkpointOffset =
+                      bodyStart + kCheckpointHead;
+                  it->second.checkpointBytes = blob;
                   break;
               }
               case RecordTag::End: {
@@ -220,13 +397,14 @@ parseJournal(const std::vector<uint8_t> &bytes)
                                     "unknown journal record tag " +
                                         std::to_string(tag));
             }
+            src.skip(bodyStart + len - src.offset());
             if (sawEnd)
                 break;
         }
         if (!sawEnd)
             throw ReplayError(ReplayErrc::Truncated,
                               "journal has no End record");
-        if (!r.atEnd())
+        if (!src.atEnd())
             throw ReplayError(ReplayErrc::Corrupt,
                               "trailing bytes after End record");
         if (j.endRounds != lastSynced)
@@ -242,24 +420,49 @@ parseJournal(const std::vector<uint8_t> &bytes)
     return j;
 }
 
+} // namespace
+
+Journal
+parseJournal(const std::vector<uint8_t> &bytes)
+{
+    MemorySource src(bytes);
+    return readJournal(src);
+}
+
 Journal
 parseJournal(const std::string &path)
 {
-    FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        throw ReplayError(ReplayErrc::Io,
-                          "cannot open journal: " + path);
-    std::vector<uint8_t> bytes;
-    uint8_t buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad)
-        throw ReplayError(ReplayErrc::Io,
-                          "journal read failed: " + path);
-    return parseJournal(bytes);
+    FilePtr f = openJournal(path);
+    FileSource src(f.get(), path);
+    return readJournal(src);
+}
+
+JournalFile::JournalFile(const std::string &path) : _path(path)
+{
+    FilePtr f = openJournal(path);
+    FileSource src(f.get(), path);
+    _j = readJournal(src);
+    _file = f.release();
+}
+
+JournalFile::~JournalFile()
+{
+    std::fclose(static_cast<FILE *>(_file));
+}
+
+std::vector<uint8_t>
+JournalFile::checkpoint(uint64_t round) const
+{
+    auto it = _j.rounds.find(round);
+    if (it == _j.rounds.end() || it->second.checkpointBytes == 0)
+        throw ReplayError(ReplayErrc::Corrupt,
+                          "no checkpoint at round " +
+                              std::to_string(round));
+    std::vector<uint8_t> out(it->second.checkpointBytes);
+    FileSource src(static_cast<FILE *>(_file), _path);
+    src.skip(it->second.checkpointOffset);
+    src.read(out.data(), out.size());
+    return out;
 }
 
 } // namespace replay

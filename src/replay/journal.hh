@@ -22,6 +22,14 @@
  * defines the id spaces), one Sync record closing the round, and
  * optionally one Checkpoint record. One End record terminates the
  * journal; a journal without it is truncated.
+ *
+ * Reading streams: one record loop walks the records through a small
+ * reused buffer, whether they come from a file or from memory. It
+ * decodes every small record, but steps over each checkpoint payload,
+ * indexing it by byte offset and length (RoundData) instead of
+ * copying it. A parsed Journal therefore holds no checkpoint bytes;
+ * JournalFile reads one back from the open file when a windowed
+ * replay restores it, so at most one checkpoint is ever in memory.
  */
 
 #ifndef HIPSTR_REPLAY_JOURNAL_HH
@@ -98,6 +106,11 @@ class JournalWriter
     /** Emit one record. */
     void record(RecordTag tag, const ByteWriter &payload);
 
+    /** Emit one record whose payload is @p head followed by @p tail,
+     *  each written straight from its own buffer. */
+    void record(RecordTag tag, const ByteWriter &head,
+                const ByteWriter &tail);
+
     /** Flush and close; throws Io on write failure. */
     void close();
 
@@ -116,9 +129,12 @@ struct RoundData
     /** Coin flips, (global pid, flip) in per-worker drain order. */
     std::vector<std::pair<uint32_t, uint8_t>> coins;
     uint64_t syncSig = 0;
-    /** Full server checkpoint taken at this round's end (may be
-     *  empty: checkpoints are periodic). */
-    std::vector<uint8_t> checkpoint;
+    /** Where the full server checkpoint taken at this round's end
+     *  sits in the journal: the byte offset of its payload and the
+     *  payload's length (0 = none: checkpoints are periodic). The
+     *  bytes stay on disk; JournalFile::checkpoint() reads them. */
+    uint64_t checkpointOffset = 0;
+    uint32_t checkpointBytes = 0;
 };
 
 /** A fully parsed journal. */
@@ -146,13 +162,42 @@ struct Journal
 };
 
 /**
- * Read and validate @p path completely. Throws ReplayError with
- * BadMagic / BadVersion / Truncated / Corrupt / Io.
+ * Read and validate @p path completely, streaming it from disk.
+ * Throws ReplayError with BadMagic / BadVersion / Truncated /
+ * Corrupt / Io.
  */
 Journal parseJournal(const std::string &path);
 
-/** parseJournal over an in-memory image (tests). */
+/** parseJournal over an in-memory image (tests); checkpoint offsets
+ *  index into @p bytes. */
 Journal parseJournal(const std::vector<uint8_t> &bytes);
+
+/**
+ * A journal file parsed as parseJournal(path) does and then held open,
+ * so the checkpoint bytes a replay restores are read from the same
+ * open file the parse validated.
+ */
+class JournalFile
+{
+  public:
+    /** Open and parse @p path; throws as parseJournal(path). */
+    explicit JournalFile(const std::string &path);
+    ~JournalFile();
+    JournalFile(const JournalFile &) = delete;
+    JournalFile &operator=(const JournalFile &) = delete;
+
+    const Journal &journal() const { return _j; }
+
+    /** Read the payload of round @p round's checkpoint from the file.
+     *  Throws Corrupt if the round has none, Truncated / Io if the
+     *  file no longer holds it. */
+    std::vector<uint8_t> checkpoint(uint64_t round) const;
+
+  private:
+    std::string _path;
+    void *_file = nullptr; ///< FILE*, opaque to keep <cstdio> out
+    Journal _j;
+};
 
 } // namespace replay
 } // namespace hipstr

@@ -433,13 +433,12 @@ class Recorder : public ServerTap
             _out.record(RecordTag::Sync, w);
         }
         if (_every != 0 && round % _every == 0) {
-            ByteWriter cp;
-            _save(cp);
+            _checkpoint.clear();
+            _save(_checkpoint);
             ByteWriter w;
             w.u64(round);
-            w.u32(uint32_t(cp.size()));
-            w.bytes(cp.data().data(), cp.size());
-            _out.record(RecordTag::Checkpoint, w);
+            w.u32(uint32_t(_checkpoint.size()));
+            _out.record(RecordTag::Checkpoint, w, _checkpoint);
             ++checkpoints;
         }
     }
@@ -467,6 +466,8 @@ class Recorder : public ServerTap
     std::vector<Request> _draws;
     uint64_t _every = 0;
     std::function<void(ByteWriter &)> _save;
+    /** Reused by every checkpoint, which are all about one size. */
+    ByteWriter _checkpoint;
 };
 
 } // namespace
@@ -541,11 +542,11 @@ namespace
 class Replayer : public ServerTap
 {
   public:
-    /** Parse @p path and require it was recorded under
-     *  @p configHash. */
+    /** Parse @p path, keeping it open, and require it was recorded
+     *  under @p configHash. */
     Replayer(const std::string &path, uint64_t configHash,
              const std::vector<Shard> &shards)
-        : _j(parseJournal(path))
+        : _file(path), _j(_file.journal())
     {
         if (_j.configHash != configHash) {
             throw ReplayError(ReplayErrc::ConfigMismatch,
@@ -558,11 +559,18 @@ class Replayer : public ServerTap
                     std::make_unique<ReplayFaultPlan>(s, _j));
         }
     }
-    /** The plans point into _j. */
+    /** The plans point into _file's journal. */
     Replayer(const Replayer &) = delete;
     Replayer &operator=(const Replayer &) = delete;
 
     const Journal &journal() const { return _j; }
+
+    /** Round @p round's checkpoint, read from the open journal. */
+    std::vector<uint8_t>
+    checkpoint(uint64_t round) const
+    {
+        return _file.checkpoint(round);
+    }
 
     /** The replay plans in shard order; empty without faults. */
     std::vector<const FaultPlan *>
@@ -647,7 +655,8 @@ class Replayer : public ServerTap
     uint64_t syncChecks = 0;
 
   private:
-    Journal _j;
+    JournalFile _file;
+    const Journal &_j; ///< _file's journal
     std::vector<std::unique_ptr<ReplayFaultPlan>> _plans;
     std::vector<HipstrRuntime *> _rts;
     std::vector<std::deque<uint8_t>> _feeds;
@@ -670,10 +679,13 @@ drive(const FatBinary &bin, const ServerConfig &cfg,
     ProtectedServer srv(bin, rcfg);
     srv.beginRun();
 
+    // Only the one checkpoint the window restores is read, and it is
+    // dropped before the tail runs.
     uint64_t start = rep.journal().checkpointAtOrBefore(fromRound);
     if (start != 0) {
+        std::vector<uint8_t> checkpoint = rep.checkpoint(start);
         try {
-            ByteReader r(rep.journal().rounds.at(start).checkpoint);
+            ByteReader r(checkpoint);
             srv.loadCheckpoint(r);
         } catch (const SerializeError &e) {
             throw ReplayError(ReplayErrc::Corrupt,

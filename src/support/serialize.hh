@@ -97,6 +97,10 @@ class ByteWriter
     const std::vector<uint8_t> &data() const { return _buf; }
     size_t size() const { return _buf.size(); }
 
+    /** Empty the sink but keep its capacity, so a writer reused for
+     *  same-sized images allocates once. */
+    void clear() { _buf.clear(); }
+
   private:
     std::vector<uint8_t> _buf;
 };

@@ -18,6 +18,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -222,6 +224,86 @@ replayErrcOf(const std::function<void()> &fn)
     return replayErrorOf(fn).code();
 }
 
+/** What parsing gives: nothing when @p fn parses, else the code of
+ *  the ReplayError it throws. Any other exception escapes the test. */
+std::optional<ReplayErrc>
+parseOutcome(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const ReplayError &e) {
+        return e.code();
+    }
+    return std::nullopt;
+}
+
+/** Parse @p bytes with both overloads, in memory and from a file on
+ *  disk, and require the two outcomes to agree. */
+std::optional<ReplayErrc>
+parseBoth(const std::vector<uint8_t> &bytes)
+{
+    std::optional<ReplayErrc> mem =
+        parseOutcome([&] { parseJournal(bytes); });
+    std::string path = tempPath("replay_parse_both.hjl");
+    spit(path, bytes);
+    std::optional<ReplayErrc> file =
+        parseOutcome([&] { parseJournal(path); });
+    EXPECT_EQ(mem, file) << "the two parseJournal overloads disagree";
+    return mem;
+}
+
+/** A small checkpointed server journal: two fault-free workers, a
+ *  dozen requests, a checkpoint every four rounds. */
+const std::vector<uint8_t> &
+smallCheckpointedJournal()
+{
+    static const std::vector<uint8_t> bytes = [] {
+        ServerConfig cfg = smallConfig();
+        cfg.workers = 2;
+        cfg.requestCount = 12;
+        RecordOptions opts;
+        opts.checkpointEveryRounds = 4;
+        std::string path = tempPath("replay_small_checkpointed.hjl");
+        RecordResult rec =
+            recordRun(httpdBin(), cfg, path, nullptr, opts);
+        EXPECT_GT(rec.checkpoints, 1u);
+        return slurp(path);
+    }();
+    return bytes;
+}
+
+/** Byte offset of every record (after the header), in file order. */
+std::vector<size_t>
+allRecordOffsets(const std::vector<uint8_t> &bytes)
+{
+    std::vector<size_t> offs;
+    size_t off = 8 + 4 + 8; // magic, version, configHash
+    while (off + 5 <= bytes.size()) {
+        offs.push_back(off);
+        off += 5 + recordLen(bytes, off);
+    }
+    return offs;
+}
+
+/** Overwrite the payload of every Checkpoint record in @p bytes with
+ *  garbage, except the one for round @p keep (0 = keep none). The
+ *  round and length fields stay, so the journal still parses. */
+void
+garbleCheckpoints(std::vector<uint8_t> &bytes, uint64_t keep)
+{
+    for (size_t off : recordOffsets(bytes, RecordTag::Checkpoint)) {
+        uint64_t round = 0;
+        for (int i = 7; i >= 0; --i)
+            round = (round << 8) | bytes[off + 5 + i];
+        if (round == keep)
+            continue;
+        size_t payload = off + 5 + 12; // past round u64, length u32
+        std::fill(bytes.begin() + payload,
+                  bytes.begin() + off + 5 + recordLen(bytes, off),
+                  uint8_t(0xa5));
+    }
+}
+
 } // namespace
 
 // A recorded run replays bit-exactly: every round's sync signature
@@ -298,7 +380,8 @@ TEST(Replay, WindowedReplayFromMidRunSyncPoint)
     EXPECT_EQ(rep.report.requestsServed, rec.report.requestsServed);
 }
 
-// Damaged journals fail fast with the right typed error.
+// Damaged journals fail fast with the right typed error, the same
+// from a file on disk as from memory.
 TEST(Replay, DamagedJournalsRejectedWithTypedErrors)
 {
     ServerConfig cfg = smallConfig();
@@ -306,26 +389,24 @@ TEST(Replay, DamagedJournalsRejectedWithTypedErrors)
     recordRun(httpdBin(), cfg, path);
     std::vector<uint8_t> good = slurp(path);
     ASSERT_GT(good.size(), 40u);
+    EXPECT_EQ(parseBoth(good), std::nullopt);
 
     // Truncated: lop off the End record and change nothing else.
     {
         std::vector<uint8_t> bad(good.begin(), good.end() - 10);
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::Truncated);
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::Truncated);
     }
     // Bad magic.
     {
         std::vector<uint8_t> bad = good;
         bad[0] ^= 0xff;
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::BadMagic);
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::BadMagic);
     }
     // Bad version.
     {
         std::vector<uint8_t> bad = good;
         bad[8] += 1;
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::BadVersion);
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::BadVersion);
     }
     // Unknown record tag.
     {
@@ -333,8 +414,30 @@ TEST(Replay, DamagedJournalsRejectedWithTypedErrors)
         size_t off = findRecord(bad, RecordTag::Sync);
         ASSERT_NE(off, SIZE_MAX);
         bad[off] = 0xee;
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::Corrupt);
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::Corrupt);
+    }
+    const std::vector<uint8_t> &cp = smallCheckpointedJournal();
+    EXPECT_EQ(parseBoth(cp), std::nullopt);
+    size_t cpOff = findRecord(cp, RecordTag::Checkpoint);
+    ASSERT_NE(cpOff, SIZE_MAX);
+    ASSERT_GT(recordLen(cp, cpOff), 12u + 100u);
+    // Truncated inside a checkpoint payload.
+    {
+        std::vector<uint8_t> bad(cp.begin(),
+                                 cp.begin() + cpOff + 5 + 12 + 100);
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::Truncated);
+    }
+    // A checkpoint length field that disagrees with its record's.
+    {
+        std::vector<uint8_t> bad = cp;
+        bad[cpOff + 5 + 8] -= 1; // low byte of the payload length
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::Corrupt);
+    }
+    // Cut at every record boundary: each prefix ends without End.
+    for (size_t off : allRecordOffsets(cp)) {
+        std::vector<uint8_t> bad(cp.begin(), cp.begin() + off);
+        EXPECT_EQ(parseBoth(bad), ReplayErrc::Truncated)
+            << "cut at byte " << off;
     }
     // Config mismatch: same journal, different server seed.
     {
@@ -371,6 +474,78 @@ TEST(Replay, DamagedJournalsRejectedWithTypedErrors)
                   std::string::npos)
             << e.what();
     }
+}
+
+// Replay reads only the checkpoint it restores: garbage in every
+// other checkpoint payload changes nothing, and garbage in the
+// restored one fails as Corrupt.
+TEST(Replay, WindowReadsOnlyTheCheckpointItRestores)
+{
+    ServerConfig cfg = chaosConfig();
+    std::string path = tempPath("replay_only_window.hjl");
+    RecordOptions opts;
+    opts.checkpointEveryRounds = 8;
+    RecordResult rec = recordRun(httpdBin(), cfg, path, nullptr, opts);
+    ASSERT_GT(rec.checkpoints, 2u);
+    uint64_t mid = rec.rounds / 2;
+    uint64_t window = mid / 8 * 8;
+    ASSERT_GT(window, 0u);
+
+    std::vector<uint8_t> others = slurp(path);
+    garbleCheckpoints(others, window);
+    std::string othersPath = tempPath("replay_only_window_others.hjl");
+    spit(othersPath, others);
+    ReplayResult full = replayRun(httpdBin(), cfg, othersPath);
+    EXPECT_EQ(full.report.signature, rec.report.signature);
+    ReplayResult win = replayWindow(httpdBin(), cfg, othersPath, mid);
+    EXPECT_EQ(win.startRound, window);
+    EXPECT_EQ(win.report.signature, rec.report.signature);
+    EXPECT_EQ(win.report.requestsServed, rec.report.requestsServed);
+
+    std::vector<uint8_t> all = slurp(path);
+    garbleCheckpoints(all, 0);
+    std::string allPath = tempPath("replay_only_window_all.hjl");
+    spit(allPath, all);
+    full = replayRun(httpdBin(), cfg, allPath);
+    EXPECT_EQ(full.report.signature, rec.report.signature);
+    ReplayError e = replayErrorOf([&] {
+        replayWindow(httpdBin(), cfg, allPath, mid);
+    });
+    EXPECT_EQ(e.code(), ReplayErrc::Corrupt);
+    EXPECT_NE(std::string(e.what()).find("checkpoint unusable"),
+              std::string::npos)
+        << e.what();
+}
+
+// Seeded journal fuzz: random truncations and bit flips of a small
+// checkpointed journal either parse or throw a typed ReplayError —
+// the same one from memory and from a file — and never crash.
+TEST(Replay, JournalFuzzParsesOrThrowsTyped)
+{
+    const std::vector<uint8_t> &good = smallCheckpointedJournal();
+    std::vector<size_t> heads = allRecordOffsets(good);
+    ASSERT_FALSE(heads.empty());
+    Rng rng(0x6a6f75726e616cull);
+    std::map<std::optional<ReplayErrc>, unsigned> seen;
+    for (int iter = 0; iter < 400; ++iter) {
+        std::vector<uint8_t> bad = good;
+        unsigned flips = unsigned(rng.below(4));
+        for (unsigned i = 0; i < flips; ++i) {
+            // Half the flips land in a record's tag/length head, where
+            // the parser's framing checks live.
+            size_t at = rng.chance(0.5)
+                ? rng.pick(heads) + size_t(rng.below(5))
+                : size_t(rng.below(bad.size()));
+            bad[at] ^= uint8_t(1u << rng.below(8));
+        }
+        if (flips == 0 || rng.chance(0.3))
+            bad.resize(size_t(rng.below(bad.size() + 1)));
+        ++seen[parseBoth(bad)];
+    }
+    // The mix reached every outcome the damage can cause.
+    EXPECT_GT(seen[std::nullopt], 0u);
+    EXPECT_GT(seen[ReplayErrc::Truncated], 0u);
+    EXPECT_GT(seen[ReplayErrc::Corrupt], 0u);
 }
 
 // A small fleet records and replays bit-exactly, and its journal
