@@ -156,7 +156,7 @@ runRecordReplay()
     benchHostMetric("replay_wall_seconds", repSec);
     benchHostMetric("window_wall_seconds", winSec);
     // The process high-water mark; ru_maxrss is in KiB.
-    struct rusage ru;
+    struct rusage ru = {};
     getrusage(RUSAGE_SELF, &ru);
     benchHostMetric("peak_rss_mb", double(ru.ru_maxrss) / 1024.0);
 

@@ -209,7 +209,7 @@ class FileSource : public ByteSource
     static uint64_t
     sizeOf(FILE *f, const std::string &path)
     {
-        struct stat st;
+        struct stat st = {};
         if (fstat(fileno(f), &st) != 0)
             throw ReplayError(ReplayErrc::Io,
                               "cannot stat journal: " + path);
@@ -290,7 +290,7 @@ readJournal(ByteSource &src)
     // buffer. SerializeError from the bounds-checked reader over it
     // means a record stops short of what its tag decodes: map it onto
     // the journal's own error taxonomy.
-    uint8_t buf[kMaxDecoded];
+    uint8_t buf[kMaxDecoded] = {};
     auto take = [&](size_t n) {
         src.read(buf, n);
         return ByteReader(buf, n);

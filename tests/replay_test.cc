@@ -154,16 +154,27 @@ recordLen(const std::vector<uint8_t> &bytes, size_t off)
         (uint32_t(bytes[off + 4]) << 24);
 }
 
+/** Byte offset of every record (after the header), in file order. */
+std::vector<size_t>
+allRecordOffsets(const std::vector<uint8_t> &bytes)
+{
+    std::vector<size_t> offs;
+    size_t off = 8 + 4 + 8; // magic, version, configHash
+    while (off + 5 <= bytes.size()) {
+        offs.push_back(off);
+        off += 5 + recordLen(bytes, off);
+    }
+    return offs;
+}
+
 /** Byte offsets of every record with @p tag (after the header). */
 std::vector<size_t>
 recordOffsets(const std::vector<uint8_t> &bytes, RecordTag tag)
 {
     std::vector<size_t> offs;
-    size_t off = 8 + 4 + 8; // magic, version, configHash
-    while (off + 5 <= bytes.size()) {
+    for (size_t off : allRecordOffsets(bytes)) {
         if (bytes[off] == static_cast<uint8_t>(tag))
             offs.push_back(off);
-        off += 5 + recordLen(bytes, off);
     }
     return offs;
 }
@@ -270,19 +281,6 @@ smallCheckpointedJournal()
         return slurp(path);
     }();
     return bytes;
-}
-
-/** Byte offset of every record (after the header), in file order. */
-std::vector<size_t>
-allRecordOffsets(const std::vector<uint8_t> &bytes)
-{
-    std::vector<size_t> offs;
-    size_t off = 8 + 4 + 8; // magic, version, configHash
-    while (off + 5 <= bytes.size()) {
-        offs.push_back(off);
-        off += 5 + recordLen(bytes, off);
-    }
-    return offs;
 }
 
 /** Overwrite the payload of every Checkpoint record in @p bytes with
