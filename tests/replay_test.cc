@@ -659,6 +659,68 @@ TEST(Replay, FleetJournalFixtureReplaysAndReRecords)
     EXPECT_TRUE(shard1Outage);
 }
 
+/** Two-worker chaos server checkpointed twice: the configuration
+ *  behind the checked-in server_checkpointed.hjl, the one fixture
+ *  that pins checkpoint bytes. A checkpoint saves the VM's trace and
+ *  chain follow counts, whose split depends on whether the trace JIT
+ *  runs, so the JIT is off here: the bytes are then the same in
+ *  every build, the sanitizer ones included. */
+ServerConfig
+checkpointedConfig()
+{
+    ServerConfig cfg = chaosConfig();
+    cfg.workers = 2;
+    cfg.requestCount = 40;
+    cfg.faults.quantumFaultRate = 0.05;
+    cfg.hipstr.psr.jitMode = PsrConfig::JitMode::Off;
+    return cfg;
+}
+
+RecordOptions
+checkpointedOptions()
+{
+    RecordOptions opts;
+    opts.checkpointEveryRounds = 25;
+    return opts;
+}
+
+// The checkpointed fixture pins every checkpointed field's order and
+// width: re-recording reproduces it byte for byte, it replays from
+// round 0, and a window restored from each of its checkpoints lands
+// on the recorded report.
+TEST(Replay, CheckpointedJournalFixtureReplaysAndReRecords)
+{
+    ServerConfig cfg = checkpointedConfig();
+    std::string path = tempPath("fixture_server_checkpointed.hjl");
+    recordRun(httpdBin(), cfg, path, nullptr, checkpointedOptions());
+
+    const std::string fixture = fixturePath("server_checkpointed.hjl");
+    std::vector<uint8_t> fresh = slurp(path);
+    std::vector<uint8_t> pinned = slurp(fixture);
+    EXPECT_TRUE(fresh == pinned)
+        << "re-recorded journal differs from " << fixture
+        << " at byte " << firstDiff(fresh, pinned);
+
+    Journal j = parseJournal(fixture);
+    ReplayResult rep = replayRun(httpdBin(), cfg, fixture);
+    EXPECT_EQ(rep.report.signature, j.endSignature);
+    EXPECT_EQ(rep.syncChecks, j.endRounds);
+    EXPECT_FALSE(j.faults.empty());
+
+    std::vector<uint64_t> checkpointed;
+    for (const auto &kv : j.rounds)
+        if (kv.second.checkpointBytes != 0)
+            checkpointed.push_back(kv.first);
+    ASSERT_GE(checkpointed.size(), 1u);
+    ASSERT_LE(checkpointed.size(), 2u);
+    for (uint64_t round : checkpointed) {
+        ReplayResult win = replayWindow(httpdBin(), cfg, fixture, round);
+        EXPECT_EQ(win.startRound, round);
+        EXPECT_EQ(win.report.signature, j.endSignature) << round;
+        EXPECT_EQ(win.report.requestsServed, j.endServed) << round;
+    }
+}
+
 // Checkpoint round-trip property: for every workload, both start
 // ISAs, and eight seeds, a GuestProcess snapshotted at a
 // pseudo-random quantum and restored into a fresh process continues
