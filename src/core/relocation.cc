@@ -225,94 +225,20 @@ Randomizer::generate(uint32_t func_id, Rng &rng) const
     return map;
 }
 
-namespace
-{
-
+template <class Io, class Self>
 void
-savePhase(ByteWriter &w, const telemetry::PhaseStats &p)
+Randomizer::fields(Io &io, Self &rz)
 {
-    w.u64(p.invocations);
-    w.u64(p.workUnits);
-    w.f64(p.modeledMicros);
+    io.u64(rz._generation);
+    Rng::fields(io, rz._rng);
+    telemetry::PhaseStats::fields(io, rz.regallocPhase);
+    telemetry::PhaseStats::fields(io, rz.relocationPhase);
 }
-
-void
-loadPhase(ByteReader &r, telemetry::PhaseStats &p)
-{
-    p.invocations = r.u64();
-    p.workUnits = r.u64();
-    p.modeledMicros = r.f64();
-}
-
-void
-saveMap(ByteWriter &w, const RelocationMap &m)
-{
-    w.u32(m.funcId);
-    w.u8(uint8_t(m.isa));
-    for (Reg r : m.regMap)
-        w.u8(r);
-    for (int32_t s : m.regToSlot)
-        w.u32(uint32_t(s));
-    // Canonical key order: unordered_map iteration is not stable
-    // across processes and the checkpoint must be byte-deterministic.
-    std::vector<std::pair<uint32_t, uint32_t>> slots(m.slotMap.begin(),
-                                                     m.slotMap.end());
-    std::sort(slots.begin(), slots.end());
-    w.u32(uint32_t(slots.size()));
-    for (const auto &kv : slots) {
-        w.u32(kv.first);
-        w.u32(kv.second);
-    }
-    w.u32(m.extraSpace);
-    w.u32(m.newFrameSize);
-    for (Reg r : m.argRegs)
-        w.u8(r);
-    w.u8(m.retReg);
-    w.u32(m.randomizableParams);
-    w.f64(m.entropyBits);
-    w.u32(m.regionLo);
-    w.u32(m.regionSize);
-}
-
-RelocationMap
-loadMap(ByteReader &r)
-{
-    RelocationMap m;
-    m.funcId = r.u32();
-    m.isa = IsaKind(r.u8());
-    for (Reg &reg : m.regMap)
-        reg = r.u8();
-    for (int32_t &s : m.regToSlot)
-        s = int32_t(r.u32());
-    uint32_t slots = r.u32();
-    m.slotMap.reserve(slots);
-    for (uint32_t i = 0; i < slots; ++i) {
-        uint32_t from = r.u32();
-        uint32_t to = r.u32();
-        m.slotMap.emplace(from, to);
-    }
-    m.extraSpace = r.u32();
-    m.newFrameSize = r.u32();
-    for (Reg &reg : m.argRegs)
-        reg = r.u8();
-    m.retReg = r.u8();
-    m.randomizableParams = r.u32();
-    m.entropyBits = r.f64();
-    m.regionLo = r.u32();
-    m.regionSize = r.u32();
-    return m;
-}
-
-} // namespace
 
 void
 Randomizer::saveState(ByteWriter &w) const
 {
-    w.u64(_generation);
-    for (uint64_t word : _rng.stateWords())
-        w.u64(word);
-    savePhase(w, regallocPhase);
-    savePhase(w, relocationPhase);
+    fields(w, *this);
     std::vector<uint32_t> ids;
     ids.reserve(_maps.size());
     for (const auto &kv : _maps)
@@ -320,25 +246,22 @@ Randomizer::saveState(ByteWriter &w) const
     std::sort(ids.begin(), ids.end());
     w.u32(uint32_t(ids.size()));
     for (uint32_t id : ids)
-        saveMap(w, _maps.at(id));
+        RelocationMap::fields(w, _maps.at(id));
 }
 
 void
 Randomizer::loadState(ByteReader &r)
 {
-    _generation = r.u64();
-    std::array<uint64_t, 4> words;
-    for (uint64_t &word : words)
-        word = r.u64();
-    _rng.setStateWords(words);
-    loadPhase(r, regallocPhase);
-    loadPhase(r, relocationPhase);
+    fields(r, *this);
     _maps.clear();
-    uint32_t count = r.u32();
+    uint32_t count = r.count(RelocationMap::kMinBytes);
     for (uint32_t i = 0; i < count; ++i) {
-        RelocationMap m = loadMap(r);
+        RelocationMap m;
+        RelocationMap::fields(r, m);
         uint32_t id = m.funcId;
-        _maps.emplace(id, std::move(m));
+        if (!_maps.emplace(id, std::move(m)).second)
+            throw SerializeError(SerializeErrc::Corrupt,
+                                 "duplicate relocation map");
     }
 }
 

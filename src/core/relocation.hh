@@ -88,6 +88,37 @@ struct RelocationMap
     uint32_t regionSize = 0;
     /** @} */
 
+    /** Smallest encoding (no slots), for ByteReader::count. */
+    static constexpr size_t kMinBytes = 122;
+
+    /** Checkpoint field walk (support/serialize.hh). Every register
+     *  byte must index the 16-entry register arrays. */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &m)
+    {
+        const size_t regs = m.regMap.size();
+        io.u32(m.funcId);
+        io.bounded(m.isa, kNumIsas);
+        for (auto &r : m.regMap)
+            io.bounded(r, regs);
+        for (auto &s : m.regToSlot)
+            io.u32(s);
+        io.entries(m.slotMap, 8, [&io](auto &from, auto &to) {
+            io.u32(from);
+            io.u32(to);
+        });
+        io.u32(m.extraSpace);
+        io.u32(m.newFrameSize);
+        for (auto &r : m.argRegs)
+            io.bounded(r, regs);
+        io.bounded(m.retReg, regs);
+        io.u32(m.randomizableParams);
+        io.f64(m.entropyBits);
+        io.u32(m.regionLo);
+        io.u32(m.regionSize);
+    }
+
     /** Apply the register permutation. */
     Reg mapReg(Reg r) const { return regMap[r]; }
     /** New offset of old frame offset @p off (off if unmapped). */
@@ -148,6 +179,10 @@ class Randomizer
     /** @} */
 
   private:
+    /** Checkpoint field walk before the maps (serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &rz);
+
     RelocationMap generate(uint32_t func_id, Rng &rng) const;
 
     const FatBinary &_bin;

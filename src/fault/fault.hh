@@ -54,6 +54,17 @@ struct FaultInfo
     uint32_t generation = 0;     ///< randomizer generation of that VM
 
     bool valid() const { return kind != FaultKind::None; }
+
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &f)
+    {
+        io.bounded(f.kind, kNumFaultKinds);
+        io.u32(f.pc);
+        io.bounded(f.isa, kNumIsas);
+        io.u32(f.generation);
+    }
 };
 
 } // namespace hipstr

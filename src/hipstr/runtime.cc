@@ -139,139 +139,61 @@ HipstrRuntime::installHook()
     other().securityEventHook = nullptr;
 }
 
-namespace
-{
-
+template <class Io, class Self>
 void
-savePhase(ByteWriter &w, const telemetry::PhaseStats &p)
+HipstrRunSummary::fields(Io &io, Self &s)
 {
-    w.u64(p.invocations);
-    w.u64(p.workUnits);
-    w.f64(p.modeledMicros);
+    io.bounded(s.reason, kNumVmStops);
+    io.u32(s.stopPc);
+    io.u64(s.totalGuestInsts);
+    for (auto &g : s.guestInstsPerIsa)
+        io.u64(g);
+    io.u32(s.migrations);
+    io.u32(s.migrationsDenied);
+    io.u32(s.migrationsSuppressed);
+    io.u32(s.transformAborts);
+    io.f64(s.migrationMicroseconds);
+    FaultInfo::fields(io, s.fault);
+    io.count(s.migrationLog, MigrationOutcome::kMinBytes);
+    for (auto &mo : s.migrationLog)
+        MigrationOutcome::fields(io, mo);
+    io.u64(s.migrationLogDropped);
+    telemetry::PhaseBreakdown::fields(io, s.phases);
 }
 
+template <class Io, class Self>
 void
-loadPhase(ByteReader &r, telemetry::PhaseStats &p)
+HipstrRuntime::fields(Io &io, Self &rt)
 {
-    p.invocations = r.u64();
-    p.workUnits = r.u64();
-    p.modeledMicros = r.f64();
+    io.bounded(rt._current, kNumIsas);
+    io.bounded(rt._cfg.startIsa, kNumIsas); // setStartIsa mutates this
+    Rng::fields(io, rt._policy);
+    io.boolean(rt._suppressNextEvent);
+    io.boolean(rt._abortNextTransform);
+    io.boolean(rt._migrationSuspended);
+    io.boolean(rt._terminal);
+    io.u64(rt._logNext);
+    HipstrRunSummary::fields(io, rt._acc);
+    telemetry::PhaseStats::fields(io, rt._transformPhase);
+    telemetry::PhaseBreakdown::fields(io, rt._phaseBase);
+    for (IsaKind isa : kAllIsas)
+        io.state(rt.vm(isa));
 }
-
-void
-saveSummary(ByteWriter &w, const HipstrRunSummary &s)
-{
-    w.u8(uint8_t(s.reason));
-    w.u32(s.stopPc);
-    w.u64(s.totalGuestInsts);
-    for (uint64_t g : s.guestInstsPerIsa)
-        w.u64(g);
-    w.u32(s.migrations);
-    w.u32(s.migrationsDenied);
-    w.u32(s.migrationsSuppressed);
-    w.u32(s.transformAborts);
-    w.f64(s.migrationMicroseconds);
-    w.u8(uint8_t(s.fault.kind));
-    w.u32(s.fault.pc);
-    w.u8(uint8_t(s.fault.isa));
-    w.u32(s.fault.generation);
-    w.u32(uint32_t(s.migrationLog.size()));
-    for (const MigrationOutcome &mo : s.migrationLog) {
-        w.boolean(mo.ok);
-        w.str(mo.error);
-        w.u32(mo.resumePc);
-        w.u32(mo.frames);
-        w.u32(mo.valuesMoved);
-        w.u32(mo.objectBytes);
-        w.u32(mo.raRewrites);
-        w.u32(mo.pointersRebased);
-        w.f64(mo.microseconds);
-    }
-    w.u64(s.migrationLogDropped);
-    for (const telemetry::PhaseStats &p : s.phases.phases)
-        savePhase(w, p);
-}
-
-void
-loadSummary(ByteReader &r, HipstrRunSummary &s)
-{
-    s.reason = VmStop(r.u8());
-    s.stopPc = r.u32();
-    s.totalGuestInsts = r.u64();
-    for (uint64_t &g : s.guestInstsPerIsa)
-        g = r.u64();
-    s.migrations = r.u32();
-    s.migrationsDenied = r.u32();
-    s.migrationsSuppressed = r.u32();
-    s.transformAborts = r.u32();
-    s.migrationMicroseconds = r.f64();
-    s.fault.kind = FaultKind(r.u8());
-    s.fault.pc = r.u32();
-    s.fault.isa = IsaKind(r.u8());
-    s.fault.generation = r.u32();
-    uint32_t logged = r.u32();
-    s.migrationLog.clear();
-    s.migrationLog.reserve(logged);
-    for (uint32_t i = 0; i < logged; ++i) {
-        MigrationOutcome mo;
-        mo.ok = r.boolean();
-        mo.error = r.str();
-        mo.resumePc = r.u32();
-        mo.frames = r.u32();
-        mo.valuesMoved = r.u32();
-        mo.objectBytes = r.u32();
-        mo.raRewrites = r.u32();
-        mo.pointersRebased = r.u32();
-        mo.microseconds = r.f64();
-        s.migrationLog.push_back(std::move(mo));
-    }
-    s.migrationLogDropped = r.u64();
-    for (telemetry::PhaseStats &p : s.phases.phases)
-        loadPhase(r, p);
-}
-
-} // namespace
 
 void
 HipstrRuntime::saveState(ByteWriter &w) const
 {
-    w.u8(uint8_t(_current));
-    w.u8(uint8_t(_cfg.startIsa)); // setStartIsa mutates this
-    for (uint64_t word : _policy.stateWords())
-        w.u64(word);
-    w.boolean(_suppressNextEvent);
-    w.boolean(_abortNextTransform);
-    w.boolean(_migrationSuspended);
-    w.boolean(_terminal);
-    w.u64(_logNext);
-    saveSummary(w, _acc);
-    savePhase(w, _transformPhase);
-    for (const telemetry::PhaseStats &p : _phaseBase.phases)
-        savePhase(w, p);
-    for (IsaKind isa : kAllIsas)
-        vm(isa).saveState(w);
+    fields(w, *this);
 }
 
 void
 HipstrRuntime::loadState(ByteReader &r)
 {
-    _current = IsaKind(r.u8());
-    _cfg.startIsa = IsaKind(r.u8());
-    std::array<uint64_t, 4> words;
-    for (uint64_t &word : words)
-        word = r.u64();
-    _policy.setStateWords(words);
-    _suppressNextEvent = r.boolean();
-    _abortNextTransform = r.boolean();
-    _migrationSuspended = r.boolean();
-    _terminal = r.boolean();
-    _logNext = r.u64();
-    loadSummary(r, _acc);
-    loadPhase(r, _transformPhase);
-    for (telemetry::PhaseStats &p : _phaseBase.phases)
-        loadPhase(r, p);
-    for (IsaKind isa : kAllIsas)
-        vm(isa).loadState(r);
+    fields(r, *this);
+    // The ring cursor only moves once the log is full.
+    if (_logNext != 0 && _logNext >= _acc.migrationLog.size())
+        throw SerializeError(SerializeErrc::Corrupt,
+                             "migration log cursor out of range");
     // The security hook captures `this` state that is all restored
     // above; re-arm it on the restored current ISA.
     installHook();

@@ -105,6 +105,10 @@ struct HipstrRunSummary
      * carries the since-reset() breakdown; run() deltas subtract.
      */
     telemetry::PhaseBreakdown phases;
+
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &s);
 };
 
 /**
@@ -285,6 +289,9 @@ class HipstrRuntime
     {
         return *_vms[static_cast<size_t>(otherIsa(_current))];
     }
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &rt);
     void installHook();
     void recordMigration(const MigrationOutcome &mo);
     /** Modeled "now" on the runtime's trace lane. */

@@ -138,37 +138,33 @@ GuestOs::handleSyscall(MachineState &state, Memory &mem)
     }
 }
 
+template <class Io, class Self>
+void
+GuestOs::fields(Io &io, Self &os)
+{
+    io.boolean(os._redirected);
+    io.u64(os._outputHash);
+    io.u64(os._totalOutputBytes);
+    io.boolean(os._exited);
+    io.u32(os._exitCode);
+    io.boolean(os._execveFired);
+    for (auto &a : os._execveArgs)
+        io.u32(a);
+    io.u32(os._brk);
+    io.count(os._output, 1);
+    io.bytes(os._output.data(), os._output.size());
+}
+
 void
 GuestOs::saveState(ByteWriter &w) const
 {
-    w.boolean(_redirected);
-    w.u64(_outputHash);
-    w.u64(_totalOutputBytes);
-    w.boolean(_exited);
-    w.u32(_exitCode);
-    w.boolean(_execveFired);
-    for (uint32_t a : _execveArgs)
-        w.u32(a);
-    w.u32(_brk);
-    w.u32(uint32_t(_output.size()));
-    w.bytes(_output.data(), _output.size());
+    fields(w, *this);
 }
 
 void
 GuestOs::loadState(ByteReader &r)
 {
-    _redirected = r.boolean();
-    _outputHash = r.u64();
-    _totalOutputBytes = r.u64();
-    _exited = r.boolean();
-    _exitCode = r.u32();
-    _execveFired = r.boolean();
-    for (uint32_t &a : _execveArgs)
-        a = r.u32();
-    _brk = r.u32();
-    uint32_t retained = r.u32();
-    _output.resize(retained);
-    r.bytes(_output.data(), retained);
+    fields(r, *this);
 }
 
 void

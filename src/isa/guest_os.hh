@@ -118,6 +118,10 @@ class GuestOs
     }
 
   private:
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &os);
+
     /** Append one output byte: fold the checksum, honor the cap. */
     void emit(uint8_t b);
 

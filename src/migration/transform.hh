@@ -46,6 +46,25 @@ struct MigrationOutcome
     uint32_t raRewrites = 0;
     uint32_t pointersRebased = 0;
     double microseconds = 0; ///< modeled cost (see cost model below)
+
+    /** Smallest encoding (empty error), for ByteReader::count. */
+    static constexpr size_t kMinBytes = 37;
+
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &mo)
+    {
+        io.boolean(mo.ok);
+        io.str(mo.error);
+        io.u32(mo.resumePc);
+        io.u32(mo.frames);
+        io.u32(mo.valuesMoved);
+        io.u32(mo.objectBytes);
+        io.u32(mo.raRewrites);
+        io.u32(mo.pointersRebased);
+        io.f64(mo.microseconds);
+    }
 };
 
 /**

@@ -255,21 +255,6 @@ openJournal(const std::string &path)
     return FilePtr(f);
 }
 
-Request
-readRequest(ByteReader &r)
-{
-    Request req;
-    req.id = r.u64();
-    uint8_t kind = r.u8();
-    if (kind >= kNumRequestKinds)
-        throw ReplayError(ReplayErrc::Corrupt,
-                          "journal request has invalid kind");
-    req.kind = static_cast<RequestKind>(kind);
-    req.costInsts = r.u64();
-    req.retries = r.u32();
-    return req;
-}
-
 /** The longest record prefix any tag decodes (End: three u64s). The
  *  rest of a record, a checkpoint payload included, is skipped
  *  unread, so no record's length decides what is held in memory. */
@@ -324,7 +309,8 @@ readJournal(ByteSource &src)
             ByteReader body = take(std::min<size_t>(len, kMaxDecoded));
             switch (static_cast<RecordTag>(tag)) {
               case RecordTag::Request: {
-                  Request req = readRequest(body);
+                  Request req;
+                  Request::fields(body, req);
                   j.requests[req.id] = req;
                   break;
               }
@@ -377,7 +363,7 @@ readJournal(ByteSource &src)
                           ReplayErrc::Corrupt,
                           "checkpoint for an unsynced round");
                   uint32_t blob = body.u32();
-                  if (blob != len - kCheckpointHead)
+                  if (blob == 0 || blob != len - kCheckpointHead)
                       throw ReplayError(ReplayErrc::Corrupt,
                                         "checkpoint length mismatch");
                   it->second.checkpointOffset =

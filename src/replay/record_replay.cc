@@ -24,15 +24,6 @@ fnv1a(const ByteWriter &w)
     return h;
 }
 
-void
-writeRequest(ByteWriter &w, const Request &r)
-{
-    w.u64(r.id);
-    w.u8(static_cast<uint8_t>(r.kind));
-    w.u64(r.costInsts);
-    w.u32(r.retries);
-}
-
 /**
  * Shard k of a K-shard run as the journal sees it: the fault config
  * it runs, its worker count, and where its pids and core ids start in
@@ -411,7 +402,7 @@ class Recorder : public ServerTap
     {
         for (const Request &r : _draws) {
             ByteWriter w;
-            writeRequest(w, r);
+            Request::fields(w, r);
             _out.record(RecordTag::Request, w);
         }
         _draws.clear();
@@ -687,6 +678,9 @@ drive(const FatBinary &bin, const ServerConfig &cfg,
         try {
             ByteReader r(checkpoint);
             srv.loadCheckpoint(r);
+            if (!r.atEnd())
+                throw SerializeError(SerializeErrc::Corrupt,
+                                     "trailing bytes after checkpoint");
         } catch (const SerializeError &e) {
             throw ReplayError(ReplayErrc::Corrupt,
                               std::string("checkpoint unusable: ") +

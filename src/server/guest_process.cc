@@ -444,6 +444,48 @@ GuestProcess::injectAttackProbe(uint64_t nonce)
     return stageHijack(c.addr, /*build_frame=*/true, c.funcId);
 }
 
+template <class Io, class Self>
+void
+GuestProcess::fields(Io &io, Self &p)
+{
+    io.bounded(p._state, kNumProcStates);
+    io.u64(p._serviceRemaining);
+    io.boolean(p._lastMigrated);
+    io.boolean(p._tainted);
+    io.u64(p._expectedChecksum);
+    io.boolean(p._haveExpected);
+
+    auto &st = p._stats;
+    io.u64(st.guestInsts);
+    for (auto &g : st.guestInstsPerIsa)
+        io.u64(g);
+    io.u64(st.quanta);
+    io.u32(st.migrations);
+    io.u32(st.migrationsDenied);
+    io.u32(st.crashes);
+    io.u32(st.respawns);
+    io.u32(st.programsCompleted);
+    io.u32(st.checksumMismatches);
+    io.u32(st.probesStaged);
+    io.u64(st.outputBytes);
+    for (auto &f : st.faultsInjected)
+        io.u64(f);
+    io.u64(st.wedgedQuanta);
+    io.u32(st.watchdogKills);
+    io.u32(st.transformAborts);
+    io.u32(st.migrationsSuppressed);
+    io.u32(st.emergencyRelocations);
+
+    io.u64(p._quantumSerial);
+    io.u32(p._wedgeRemaining);
+    io.u32(p._wedgeStreak);
+    FaultInfo::fields(io, p._lastFault);
+    io.bounded(p._pendingKind, kNumFaultKinds);
+
+    io.state(p._os);
+    io.state(*p._runtime);
+}
+
 void
 GuestProcess::saveState(ByteWriter &w) const
 {
@@ -451,44 +493,7 @@ GuestProcess::saveState(ByteWriter &w) const
     hipstr_assert(!_mem.journaling());
 
     w.u32(_cfg.pid);
-    w.u8(uint8_t(_state));
-    w.u64(_serviceRemaining);
-    w.boolean(_lastMigrated);
-    w.boolean(_tainted);
-    w.u64(_expectedChecksum);
-    w.boolean(_haveExpected);
-
-    w.u64(_stats.guestInsts);
-    for (uint64_t g : _stats.guestInstsPerIsa)
-        w.u64(g);
-    w.u64(_stats.quanta);
-    w.u32(_stats.migrations);
-    w.u32(_stats.migrationsDenied);
-    w.u32(_stats.crashes);
-    w.u32(_stats.respawns);
-    w.u32(_stats.programsCompleted);
-    w.u32(_stats.checksumMismatches);
-    w.u32(_stats.probesStaged);
-    w.u64(_stats.outputBytes);
-    for (uint64_t f : _stats.faultsInjected)
-        w.u64(f);
-    w.u64(_stats.wedgedQuanta);
-    w.u32(_stats.watchdogKills);
-    w.u32(_stats.transformAborts);
-    w.u32(_stats.migrationsSuppressed);
-    w.u32(_stats.emergencyRelocations);
-
-    w.u64(_quantumSerial);
-    w.u32(_wedgeRemaining);
-    w.u32(_wedgeStreak);
-    w.u8(uint8_t(_lastFault.kind));
-    w.u32(_lastFault.pc);
-    w.u8(uint8_t(_lastFault.isa));
-    w.u32(_lastFault.generation);
-    w.u8(uint8_t(_pendingKind));
-
-    _os.saveState(w);
-    _runtime->saveState(w);
+    fields(w, *this);
 
     // Mutable guest image [kDataBase, kStackTop): data, heap, stack.
     // The code sections below kDataBase are reproduced by the loader
@@ -521,48 +526,14 @@ GuestProcess::loadState(ByteReader &r)
     hipstr_assert(_state != ProcState::Running);
     hipstr_assert(!_mem.journaling());
 
-    uint32_t pid = r.u32();
-    if (pid != _cfg.pid)
+    if (r.u32() != _cfg.pid)
         throw SerializeError(SerializeErrc::Corrupt,
                              "checkpoint pid mismatch");
-    _state = ProcState(r.u8());
-    _serviceRemaining = r.u64();
-    _lastMigrated = r.boolean();
-    _tainted = r.boolean();
-    _expectedChecksum = r.u64();
-    _haveExpected = r.boolean();
-
-    _stats.guestInsts = r.u64();
-    for (uint64_t &g : _stats.guestInstsPerIsa)
-        g = r.u64();
-    _stats.quanta = r.u64();
-    _stats.migrations = r.u32();
-    _stats.migrationsDenied = r.u32();
-    _stats.crashes = r.u32();
-    _stats.respawns = r.u32();
-    _stats.programsCompleted = r.u32();
-    _stats.checksumMismatches = r.u32();
-    _stats.probesStaged = r.u32();
-    _stats.outputBytes = r.u64();
-    for (uint64_t &f : _stats.faultsInjected)
-        f = r.u64();
-    _stats.wedgedQuanta = r.u64();
-    _stats.watchdogKills = r.u32();
-    _stats.transformAborts = r.u32();
-    _stats.migrationsSuppressed = r.u32();
-    _stats.emergencyRelocations = r.u32();
-
-    _quantumSerial = r.u64();
-    _wedgeRemaining = r.u32();
-    _wedgeStreak = r.u32();
-    _lastFault.kind = FaultKind(r.u8());
-    _lastFault.pc = r.u32();
-    _lastFault.isa = IsaKind(r.u8());
-    _lastFault.generation = r.u32();
-    _pendingKind = FaultKind(r.u8());
-
-    _os.loadState(r);
-    _runtime->loadState(r);
+    fields(r, *this);
+    // saveState runs between quanta only.
+    if (_state == ProcState::Running)
+        throw SerializeError(SerializeErrc::Corrupt,
+                             "checkpoint of a running process");
 
     // zeroRange visits only the pages this process dirtied.
     constexpr uint32_t kPage = Memory::kPageBytes;

@@ -32,6 +32,9 @@ enum class ProcState : uint8_t
     Exited   ///< guest exited and restart-on-exit is disabled
 };
 
+constexpr size_t kNumProcStates =
+    static_cast<size_t>(ProcState::Exited) + 1;
+
 const char *procStateName(ProcState s);
 
 /** Per-process configuration. */
@@ -278,6 +281,10 @@ class GuestProcess
     void stageInjectedFault(const QuantumFault &f);
     /** Accrue the runtime's summary into _stats (before a reset). */
     void foldSummary();
+    /** Checkpoint field walk between the pid and the guest pages
+     *  (support/serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &p);
     /** Stage a return-to-@p target hijack in the current VM. */
     bool stageHijack(Addr target, bool build_frame,
                      uint32_t frame_func);

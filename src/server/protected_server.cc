@@ -18,30 +18,6 @@ namespace
  *  magnitude over any configured stream. */
 constexpr uint64_t kMaxRounds = 100'000'000;
 
-void
-saveRequest(ByteWriter &w, const Request &r)
-{
-    w.u64(r.id);
-    w.u8(static_cast<uint8_t>(r.kind));
-    w.u64(r.costInsts);
-    w.u32(r.retries);
-}
-
-Request
-loadRequest(ByteReader &r)
-{
-    Request req;
-    req.id = r.u64();
-    uint8_t kind = r.u8();
-    if (kind >= kNumRequestKinds)
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "bad request kind in checkpoint");
-    req.kind = static_cast<RequestKind>(kind);
-    req.costInsts = r.u64();
-    req.retries = r.u32();
-    return req;
-}
-
 } // namespace
 
 ProtectedServer::ProtectedServer(const FatBinary &bin,
@@ -571,42 +547,46 @@ ProtectedServer::roundSyncSignature() const
     return h;
 }
 
+template <class Io, class Self>
+void
+ProtectedServer::ServeState::fields(Io &io, Self &st)
+{
+    io.u64(st.report.requestsServed);
+    io.u64(st.report.requestsAbandoned);
+    for (auto &n : st.report.servedByKind)
+        io.u64(n);
+    for (auto &f : st.inflight) {
+        Request::fields(io, f.req);
+        io.u64(f.startRound);
+        io.boolean(f.active);
+        io.bounded(f.assignIsa, kNumIsas);
+        io.u32(f.assignGeneration);
+        io.u32(f.assignRespawns);
+        io.boolean(f.crashSeen);
+    }
+    for (size_t i = 0; i < st.retired.size(); ++i)
+        io.boolean(st.retired[i]);
+    io.count(st.intake, Request::kBytes);
+    for (auto &r : st.intake)
+        Request::fields(io, r);
+    io.u64(st.nextId);
+    io.count64(st.latencies, 8);
+    for (auto &l : st.latencies)
+        io.u64(l);
+    io.u64(st.sig);
+    io.u64(st.roundNo);
+    io.u64(st.done);
+    io.boolean(st.wasDegraded);
+    io.u64(st.degradedStart);
+    io.boolean(st.finished);
+}
+
 void
 ProtectedServer::saveCheckpoint(ByteWriter &w) const
 {
-    const ServeState &st = _serve;
-    hipstr_assert(st.begun);
+    hipstr_assert(_serve.begun);
     w.u32(uint32_t(_workers.size()));
-
-    w.u64(st.report.requestsServed);
-    w.u64(st.report.requestsAbandoned);
-    for (uint64_t n : st.report.servedByKind)
-        w.u64(n);
-    for (const InFlight &f : st.inflight) {
-        saveRequest(w, f.req);
-        w.u64(f.startRound);
-        w.boolean(f.active);
-        w.u8(static_cast<uint8_t>(f.assignIsa));
-        w.u32(f.assignGeneration);
-        w.u32(f.assignRespawns);
-        w.boolean(f.crashSeen);
-    }
-    for (size_t i = 0; i < st.retired.size(); ++i)
-        w.boolean(st.retired[i]);
-    w.u32(uint32_t(st.intake.size()));
-    for (const Request &r : st.intake)
-        saveRequest(w, r);
-    w.u64(st.nextId);
-    w.u64(uint64_t(st.latencies.size()));
-    for (uint64_t l : st.latencies)
-        w.u64(l);
-    w.u64(st.sig);
-    w.u64(st.roundNo);
-    w.u64(st.done);
-    w.boolean(st.wasDegraded);
-    w.u64(st.degradedStart);
-    w.boolean(st.finished);
-
+    ServeState::fields(w, _serve);
     _sched.saveState(w);
     for (const auto &proc : _workers)
         proc->saveState(w);
@@ -617,48 +597,14 @@ ProtectedServer::loadCheckpoint(ByteReader &r)
 {
     ServeState &st = _serve;
     hipstr_assert(st.begun);
-    uint32_t workers = r.u32();
-    if (workers != _workers.size())
+    if (r.u32() != _workers.size())
         throw SerializeError(SerializeErrc::Corrupt,
                              "checkpoint worker count mismatch");
-
+    // Per-worker arrays carry no count in the image.
     st.report = ServerReport{};
-    st.report.requestsServed = r.u64();
-    st.report.requestsAbandoned = r.u64();
-    for (uint64_t &n : st.report.servedByKind)
-        n = r.u64();
     st.inflight.assign(_workers.size(), InFlight{});
-    for (InFlight &f : st.inflight) {
-        f.req = loadRequest(r);
-        f.startRound = r.u64();
-        f.active = r.boolean();
-        uint8_t isa = r.u8();
-        if (isa >= kNumIsas)
-            throw SerializeError(SerializeErrc::Corrupt,
-                                 "bad in-flight ISA in checkpoint");
-        f.assignIsa = static_cast<IsaKind>(isa);
-        f.assignGeneration = r.u32();
-        f.assignRespawns = r.u32();
-        f.crashSeen = r.boolean();
-    }
     st.retired.assign(_workers.size(), false);
-    for (size_t i = 0; i < st.retired.size(); ++i)
-        st.retired[i] = r.boolean();
-    st.intake.clear();
-    uint32_t queued = r.u32();
-    for (uint32_t i = 0; i < queued; ++i)
-        st.intake.push_back(loadRequest(r));
-    st.nextId = r.u64();
-    st.latencies.clear();
-    uint64_t lats = r.u64();
-    for (uint64_t i = 0; i < lats; ++i)
-        st.latencies.push_back(r.u64());
-    st.sig = r.u64();
-    st.roundNo = r.u64();
-    st.done = r.u64();
-    st.wasDegraded = r.boolean();
-    st.degradedStart = r.u64();
-    st.finished = r.boolean();
+    ServeState::fields(r, st);
 
     _sched.loadState(r, [this](uint32_t pid) -> GuestProcess * {
         return pid < _workers.size() ? _workers[pid].get() : nullptr;

@@ -415,6 +415,11 @@ class ProtectedServer
         bool traced = false;
         double usPerRound = 0;
         /** @} */
+
+        /** Checkpoint field walk: everything above but begun and the
+         *  trace plumbing (support/serialize.hh). */
+        template <class Io, class Self>
+        static void fields(Io &io, Self &st);
     };
 
     const FatBinary &_bin;

@@ -75,6 +75,21 @@ struct Request
     RequestKind kind = RequestKind::Static;
     uint64_t costInsts = 0; ///< guest instructions to serve it
     unsigned retries = 0;   ///< times re-queued after worker loss
+
+    /** Encoded size, for ByteReader::count. */
+    static constexpr size_t kBytes = 21;
+
+    /** Field walk shared by checkpoints and the journal's Request
+     *  records (support/serialize.hh). */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &r)
+    {
+        io.u64(r.id);
+        io.bounded(r.kind, kNumRequestKinds);
+        io.u64(r.costInsts);
+        io.u32(r.retries);
+    }
 };
 
 /**

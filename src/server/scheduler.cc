@@ -408,27 +408,32 @@ CmpScheduler::idle() const
     return true;
 }
 
+template <class Io, class Self>
+void
+CmpScheduler::fields(Io &io, Self &s)
+{
+    for (auto &until : s._coreOfflineUntil)
+        io.u64(until);
+    for (auto &off : s._isaOffline)
+        io.boolean(off);
+    // An infirmary entry's process is resolved from its pid key
+    // after the walk (loadState).
+    io.entries(s._infirmary, 21, [&io](auto &pid, auto &c) {
+        io.u32(pid);
+        io.u64(c.crashRound);
+        io.u64(c.releaseRound);
+        io.boolean(c.quarantined);
+    });
+    io.entries(s._streak, 8, [&io](auto &pid, auto &streak) {
+        io.u32(pid);
+        io.u32(streak);
+    });
+}
+
 void
 CmpScheduler::saveState(ByteWriter &w) const
 {
-    w.u64(_stats.rounds);
-    w.u64(_stats.quantaRun);
-    w.u64(_stats.idleCoreQuanta);
-    w.u32(_stats.migrationsRouted);
-    w.u32(_stats.respawns);
-    w.u32(_stats.retired);
-    w.u64(_stats.offlineCoreQuanta);
-    w.u32(_stats.coreOutages);
-    w.u32(_stats.coreRecoveries);
-    w.u32(_stats.degradedEntries);
-    w.u32(_stats.degradedExits);
-    w.u64(_stats.degradedRounds);
-    w.u32(_stats.reroutes);
-    w.u32(_stats.rerouteRespawns);
-    w.u32(_stats.quarantines);
-    w.u32(_stats.recoveries);
-    w.u64(_stats.recoveryRoundsSum);
-
+    SchedulerStats::fields(w, _stats);
     for (const auto &queue : _ready) {
         w.u32(uint32_t(queue.size()));
         for (const GuestProcess *p : queue)
@@ -437,25 +442,8 @@ CmpScheduler::saveState(ByteWriter &w) const
     w.u32(uint32_t(_retired.size()));
     for (const GuestProcess *p : _retired)
         w.u32(p->pid());
-
     w.u32(uint32_t(_coreOfflineUntil.size()));
-    for (uint64_t until : _coreOfflineUntil)
-        w.u64(until);
-    for (bool off : _isaOffline)
-        w.boolean(off);
-
-    w.u32(uint32_t(_infirmary.size()));
-    for (const auto &kv : _infirmary) {
-        w.u32(kv.first);
-        w.u64(kv.second.crashRound);
-        w.u64(kv.second.releaseRound);
-        w.boolean(kv.second.quarantined);
-    }
-    w.u32(uint32_t(_streak.size()));
-    for (const auto &kv : _streak) {
-        w.u32(kv.first);
-        w.u32(kv.second);
-    }
+    fields(w, *this);
 }
 
 void
@@ -471,60 +459,23 @@ CmpScheduler::loadState(
         return p;
     };
 
-    _stats.rounds = r.u64();
-    _stats.quantaRun = r.u64();
-    _stats.idleCoreQuanta = r.u64();
-    _stats.migrationsRouted = r.u32();
-    _stats.respawns = r.u32();
-    _stats.retired = r.u32();
-    _stats.offlineCoreQuanta = r.u64();
-    _stats.coreOutages = r.u32();
-    _stats.coreRecoveries = r.u32();
-    _stats.degradedEntries = r.u32();
-    _stats.degradedExits = r.u32();
-    _stats.degradedRounds = r.u64();
-    _stats.reroutes = r.u32();
-    _stats.rerouteRespawns = r.u32();
-    _stats.quarantines = r.u32();
-    _stats.recoveries = r.u32();
-    _stats.recoveryRoundsSum = r.u64();
-
+    SchedulerStats::fields(r, _stats);
     for (auto &queue : _ready) {
         queue.clear();
-        uint32_t n = r.u32();
+        uint32_t n = r.count(4);
         for (uint32_t i = 0; i < n; ++i)
             queue.push_back(lookup(r.u32()));
     }
     _retired.clear();
-    uint32_t retired = r.u32();
+    uint32_t retired = r.count(4);
     for (uint32_t i = 0; i < retired; ++i)
         _retired.push_back(lookup(r.u32()));
-
-    uint32_t cores = r.u32();
-    if (cores != _coreOfflineUntil.size())
+    if (r.u32() != _coreOfflineUntil.size())
         throw SerializeError(SerializeErrc::Corrupt,
                              "checkpoint core count mismatch");
-    for (uint64_t &until : _coreOfflineUntil)
-        until = r.u64();
-    for (size_t i = 0; i < kNumIsas; ++i)
-        _isaOffline[i] = r.boolean();
-
-    _infirmary.clear();
-    uint32_t parked = r.u32();
-    for (uint32_t i = 0; i < parked; ++i) {
-        uint32_t pid = r.u32();
-        Convalescent c{ lookup(pid), 0, 0, false };
-        c.crashRound = r.u64();
-        c.releaseRound = r.u64();
-        c.quarantined = r.boolean();
-        _infirmary.emplace(pid, c);
-    }
-    _streak.clear();
-    uint32_t streaks = r.u32();
-    for (uint32_t i = 0; i < streaks; ++i) {
-        uint32_t pid = r.u32();
-        _streak[pid] = r.u32();
-    }
+    fields(r, *this);
+    for (auto &kv : _infirmary)
+        kv.second.p = lookup(kv.first);
 }
 
 } // namespace hipstr

@@ -114,6 +114,30 @@ struct SchedulerStats
     uint32_t recoveries = 0; ///< infirmary releases back to service
     uint64_t recoveryRoundsSum = 0; ///< crash→release round gaps
     /** @} */
+
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &s)
+    {
+        io.u64(s.rounds);
+        io.u64(s.quantaRun);
+        io.u64(s.idleCoreQuanta);
+        io.u32(s.migrationsRouted);
+        io.u32(s.respawns);
+        io.u32(s.retired);
+        io.u64(s.offlineCoreQuanta);
+        io.u32(s.coreOutages);
+        io.u32(s.coreRecoveries);
+        io.u32(s.degradedEntries);
+        io.u32(s.degradedExits);
+        io.u64(s.degradedRounds);
+        io.u32(s.reroutes);
+        io.u32(s.rerouteRespawns);
+        io.u32(s.quarantines);
+        io.u32(s.recoveries);
+        io.u64(s.recoveryRoundsSum);
+    }
 };
 
 /** The scheduler. Processes are owned by the caller. */
@@ -226,6 +250,11 @@ class CmpScheduler
         uint64_t releaseRound;
         bool quarantined;
     };
+
+    /** Checkpoint field walk after the core count: outage state,
+     *  infirmary and streaks (support/serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &s);
 
     /**
      * Fault supervision, run once at the head of every round while a

@@ -83,21 +83,28 @@ ReturnAddressTable::lookup(Addr source, Addr &translated,
     return false;
 }
 
+template <class Io, class Self>
+void
+ReturnAddressTable::fields(Io &io, Self &rat)
+{
+    io.u64(rat._tick);
+    io.u64(rat._hits);
+    io.u64(rat._misses);
+    io.u64(rat._insertions);
+    for (auto &e : rat._table) {
+        io.boolean(e.valid);
+        io.u32(e.source);
+        io.u32(e.translated);
+        io.u64(e.lastUse);
+    }
+}
+
 void
 ReturnAddressTable::saveState(ByteWriter &w) const
 {
     w.u32(_entries);
     w.u32(_ways);
-    w.u64(_tick);
-    w.u64(_hits);
-    w.u64(_misses);
-    w.u64(_insertions);
-    for (const Entry &e : _table) {
-        w.boolean(e.valid);
-        w.u32(e.source);
-        w.u32(e.translated);
-        w.u64(e.lastUse);
-    }
+    fields(w, *this);
 }
 
 void
@@ -108,17 +115,8 @@ ReturnAddressTable::loadState(ByteReader &r)
     if (entries != _entries || ways != _ways)
         throw SerializeError(SerializeErrc::Corrupt,
                              "RAT geometry mismatch");
-    _tick = r.u64();
-    _hits = r.u64();
-    _misses = r.u64();
-    _insertions = r.u64();
-    for (Entry &e : _table) {
-        e.valid = r.boolean();
-        e.source = r.u32();
-        e.translated = r.u32();
-        e.block = nullptr;
-        e.lastUse = r.u64();
-    }
+    flush();
+    fields(r, *this);
 }
 
 void

@@ -91,6 +91,10 @@ class ReturnAddressTable
         uint64_t lastUse = 0;
     };
 
+    /** Checkpoint field walk after the geometry (serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &rat);
+
     unsigned _entries;
     unsigned _ways;
     unsigned _sets;

@@ -12,7 +12,6 @@
 #ifndef HIPSTR_SUPPORT_RANDOM_HH
 #define HIPSTR_SUPPORT_RANDOM_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -68,25 +67,15 @@ class Rng
         return v[static_cast<size_t>(below(v.size()))];
     }
 
-    /**
-     * Raw xoshiro state, for checkpointing: a generator restored via
-     * setStateWords continues the exact stream of the saved one. @{
-     */
-    std::array<uint64_t, 4>
-    stateWords() const
+    /** Checkpoint field walk (support/serialize.hh): the raw xoshiro
+     *  state, so a restored generator continues the saved stream. */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &rng)
     {
-        return { s[0], s[1], s[2], s[3] };
+        for (auto &word : rng.s)
+            io.u64(word);
     }
-
-    void
-    setStateWords(const std::array<uint64_t, 4> &w)
-    {
-        s[0] = w[0];
-        s[1] = w[1];
-        s[2] = w[2];
-        s[3] = w[3];
-    }
-    /** @} */
 
   private:
     uint64_t s[4];

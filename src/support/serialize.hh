@@ -6,15 +6,31 @@
  * read is bounds-checked and throws a typed SerializeError instead
  * of reading garbage, which is what turns a truncated or bit-flipped
  * journal into a clean diagnostic rather than a diverged replay.
+ *
+ * Field walks. A checkpointed type names its fields once, in image
+ * order, in a `template <class Io, class Self> static void
+ * fields(Io &, Self &)` that runs over a ByteWriter (saveState, Self
+ * const) or a ByteReader (loadState). Both classes answer the same
+ * calls: u8/u16/u32/u64, f64, boolean, str, bounded, count, count64,
+ * entries and state. The writer's calls are its plain writes. The
+ * reader's take the field by reference and check what they read: a
+ * bounded byte at or past its limit, an out-of-range boolean and a
+ * duplicate map key throw Corrupt, and a count whose elements cannot
+ * fit in the bytes left throws Truncated before anything is sized
+ * from it. A walk never asks which way it runs; one-way work (derived
+ * state, cross-object lookups, geometry checks) stays in saveState
+ * and loadState around it.
  */
 
 #ifndef HIPSTR_SUPPORT_SERIALIZE_HH
 #define HIPSTR_SUPPORT_SERIALIZE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace hipstr
@@ -93,6 +109,31 @@ class ByteWriter
         u32(uint32_t(s.size()));
         bytes(reinterpret_cast<const uint8_t *>(s.data()), s.size());
     }
+
+    /** Field-walk calls (file comment): the writes above. Size
+     *  arguments only matter to ByteReader. @{ */
+    template <class T> void bounded(T v, size_t) { u8(uint8_t(v)); }
+    template <class C> void count(const C &c, size_t) { u32(c.size()); }
+    template <class C> void count64(const C &c, size_t) { u64(c.size()); }
+    template <class T> void state(const T &t) { t.saveState(*this); }
+
+    /** u32 entry count, then fn(key, value) per entry in key order,
+     *  so an unordered map still yields a byte-deterministic image. */
+    template <class M, class Fn>
+    void
+    entries(const M &m, size_t, Fn fn)
+    {
+        std::vector<const typename M::value_type *> sorted;
+        sorted.reserve(m.size());
+        for (const auto &kv : m)
+            sorted.push_back(&kv);
+        std::sort(sorted.begin(), sorted.end(),
+                  [](auto a, auto b) { return a->first < b->first; });
+        u32(uint32_t(sorted.size()));
+        for (const auto *kv : sorted)
+            fn(kv->first, kv->second);
+    }
+    /** @} */
 
     const std::vector<uint8_t> &data() const { return _buf; }
     size_t size() const { return _buf.size(); }
@@ -183,6 +224,80 @@ class ByteReader
         return s;
     }
 
+    /** Field-walk calls (file comment): read into @p v, checked. @{ */
+    template <class T> void u8(T &v) { v = word<T, 1>(u8()); }
+    template <class T> void u16(T &v) { v = word<T, 2>(u16()); }
+    template <class T> void u32(T &v) { v = word<T, 4>(u32()); }
+    template <class T> void u64(T &v) { v = word<T, 8>(u64()); }
+    void f64(double &v) { v = f64(); }
+    void boolean(bool &v) { v = boolean(); }
+    void boolean(std::vector<bool>::reference v) { v = boolean(); }
+    void str(std::string &s) { s = str(); }
+    template <class T> void state(T &t) { t.loadState(*this); }
+
+    /** A u8 that must be below @p limit (an enum's value count, a
+     *  register file's size); Corrupt otherwise. */
+    template <class T>
+    void
+    bounded(T &v, size_t limit)
+    {
+        uint8_t b = u8();
+        if (b >= limit)
+            throw SerializeError(SerializeErrc::Corrupt,
+                                 "enumerated byte out of range");
+        v = T(b);
+    }
+
+    /** A u32 count of elements that each encode to at least
+     *  @p elemBytes; Truncated if they cannot fit in what is left. */
+    uint32_t
+    count(size_t elemBytes)
+    {
+        uint32_t n = u32();
+        fits(n, elemBytes);
+        return n;
+    }
+
+    /** count(), then size @p c to it (default-valued elements). */
+    template <class C>
+    void
+    count(C &c, size_t elemBytes)
+    {
+        uint32_t n = count(elemBytes);
+        c.clear();
+        c.resize(n);
+    }
+
+    template <class C>
+    void
+    count64(C &c, size_t elemBytes)
+    {
+        uint64_t n = u64();
+        fits(n, elemBytes);
+        c.clear();
+        c.resize(n);
+    }
+
+    /** Refill @p m from a count and fn(key, value) per entry; a key
+     *  seen twice is Corrupt. */
+    template <class M, class Fn>
+    void
+    entries(M &m, size_t elemBytes, Fn fn)
+    {
+        uint32_t n = count(elemBytes);
+        m.clear();
+        for (uint32_t i = 0; i < n; ++i) {
+            typename M::key_type k{};
+            typename M::mapped_type v{};
+            fn(k, v);
+            if (!m.emplace(std::move(k), std::move(v)).second)
+                throw SerializeError(SerializeErrc::Corrupt,
+                                     "duplicate key");
+        }
+    }
+
+    /** @} */
+
     /** Throw Truncated unless @p n more bytes are available. */
     void
     need(size_t n) const
@@ -207,6 +322,26 @@ class ByteReader
     }
 
   private:
+    /** @p raw as a walked field of type T: an N-byte integer. */
+    template <class T, size_t N, class U>
+    static T
+    word(U raw)
+    {
+        static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool> &&
+                          sizeof(T) == N,
+                      "field type must match the call's width");
+        return T(raw);
+    }
+
+    /** Throw Truncated unless @p n elements of @p elemBytes fit. */
+    void
+    fits(uint64_t n, size_t elemBytes) const
+    {
+        if (n > remaining() / elemBytes)
+            throw SerializeError(SerializeErrc::Truncated,
+                                 "count exceeds remaining bytes");
+    }
+
     const uint8_t *_p;
     size_t _len;
     size_t _off = 0;

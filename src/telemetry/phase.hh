@@ -70,6 +70,16 @@ struct PhaseStats
     uint64_t workUnits = 0;   ///< phase-specific (see file comment)
     double modeledMicros = 0; ///< modeled cost on the executing core
 
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &p)
+    {
+        io.u64(p.invocations);
+        io.u64(p.workUnits);
+        io.f64(p.modeledMicros);
+    }
+
     void
     add(uint64_t units, double micros)
     {
@@ -111,6 +121,15 @@ struct PhaseBreakdown
     operator[](Phase p) const
     {
         return phases[static_cast<size_t>(p)];
+    }
+
+    /** Checkpoint field walk (support/serialize.hh). */
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &b)
+    {
+        for (auto &p : b.phases)
+            PhaseStats::fields(io, p);
     }
 
     PhaseBreakdown &

@@ -153,48 +153,53 @@ PsrVm::flushTranslations()
     }
 }
 
+template <class Io, class Self>
 void
-PsrVm::saveState(ByteWriter &w) const
+PsrVm::fields(Io &io, Self &vm)
 {
     // Architectural state.
-    w.u8(uint8_t(state.isa));
-    for (uint32_t r : state.regs)
-        w.u32(r);
-    w.boolean(state.flags.zf);
-    w.boolean(state.flags.sf);
-    w.boolean(state.flags.cf);
-    w.boolean(state.flags.of);
-    w.u32(state.pc);
+    for (auto &reg : vm.state.regs)
+        io.u32(reg);
+    io.boolean(vm.state.flags.zf);
+    io.boolean(vm.state.flags.sf);
+    io.boolean(vm.state.flags.cf);
+    io.boolean(vm.state.flags.of);
+    io.u32(vm.state.pc);
 
     // Counters. traceFollows/chainFollows split legitimately varies
     // with HIPSTR_JIT, but both are saved verbatim: a checkpoint is
     // restored under the same knob setting it was taken under.
-    w.u64(stats.guestInsts);
-    w.u64(stats.hostInsts);
-    w.u64(stats.memReads);
-    w.u64(stats.memWrites);
-    w.u64(stats.dispatches);
-    w.u64(stats.chainFollows);
-    w.u64(stats.traceFollows);
-    w.u64(stats.translations);
-    w.u64(stats.translatedGuestInsts);
-    w.u64(stats.ratHits);
-    w.u64(stats.ratMisses);
-    w.u64(stats.indirectTransfers);
-    w.u64(stats.codeCacheMisses);
-    w.u64(stats.securityEvents);
-    w.u64(stats.migrationsRequested);
-    w.u64(stats.cacheFlushes);
-    w.u64(stats.syscalls);
-    w.u64(stats.diversificationFlips);
+    auto &st = vm.stats;
+    io.u64(st.guestInsts);
+    io.u64(st.hostInsts);
+    io.u64(st.memReads);
+    io.u64(st.memWrites);
+    io.u64(st.dispatches);
+    io.u64(st.chainFollows);
+    io.u64(st.traceFollows);
+    io.u64(st.translations);
+    io.u64(st.translatedGuestInsts);
+    io.u64(st.ratHits);
+    io.u64(st.ratMisses);
+    io.u64(st.indirectTransfers);
+    io.u64(st.codeCacheMisses);
+    io.u64(st.securityEvents);
+    io.u64(st.migrationsRequested);
+    io.u64(st.cacheFlushes);
+    io.u64(st.syscalls);
+    io.u64(st.diversificationFlips);
+    telemetry::PhaseStats::fields(io, vm.translatePhase);
 
-    w.u64(translatePhase.invocations);
-    w.u64(translatePhase.workUnits);
-    w.f64(translatePhase.modeledMicros);
+    io.boolean(vm._decodeFaultArmed);
+    io.state(vm._randomizer);
+    io.state(vm._rat);
+}
 
-    w.boolean(_decodeFaultArmed);
-    _randomizer.saveState(w);
-    _rat.saveState(w);
+void
+PsrVm::saveState(ByteWriter &w) const
+{
+    w.u8(uint8_t(state.isa));
+    fields(w, *this);
 
     // Vetted addresses: everything currently cache-resident, plus
     // any not-yet-drained vetted addresses if this VM is itself a
@@ -218,51 +223,16 @@ PsrVm::loadState(ByteReader &r)
     // but without counter side effects; the counters come from the
     // snapshot below.
     _cache.flush();
-    _rat.flush();
     invalidateTraces();
 
-    IsaKind isa = IsaKind(r.u8());
-    if (isa != _isa)
+    if (r.u8() != uint8_t(_isa))
         throw SerializeError(SerializeErrc::Corrupt,
                              "VM checkpoint ISA mismatch");
-    state.isa = isa;
-    for (uint32_t &reg : state.regs)
-        reg = r.u32();
-    state.flags.zf = r.boolean();
-    state.flags.sf = r.boolean();
-    state.flags.cf = r.boolean();
-    state.flags.of = r.boolean();
-    state.pc = r.u32();
-
-    stats.guestInsts = r.u64();
-    stats.hostInsts = r.u64();
-    stats.memReads = r.u64();
-    stats.memWrites = r.u64();
-    stats.dispatches = r.u64();
-    stats.chainFollows = r.u64();
-    stats.traceFollows = r.u64();
-    stats.translations = r.u64();
-    stats.translatedGuestInsts = r.u64();
-    stats.ratHits = r.u64();
-    stats.ratMisses = r.u64();
-    stats.indirectTransfers = r.u64();
-    stats.codeCacheMisses = r.u64();
-    stats.securityEvents = r.u64();
-    stats.migrationsRequested = r.u64();
-    stats.cacheFlushes = r.u64();
-    stats.syscalls = r.u64();
-    stats.diversificationFlips = r.u64();
-
-    translatePhase.invocations = r.u64();
-    translatePhase.workUnits = r.u64();
-    translatePhase.modeledMicros = r.f64();
-
-    _decodeFaultArmed = r.boolean();
-    _randomizer.loadState(r);
-    _rat.loadState(r);
+    state.isa = _isa;
+    fields(r, *this);
 
     _vetted.clear();
-    uint32_t vetted = r.u32();
+    uint32_t vetted = r.count(sizeof(Addr));
     _vetted.reserve(vetted);
     for (uint32_t i = 0; i < vetted; ++i)
         _vetted.insert(r.u32());

@@ -51,6 +51,9 @@ enum class VmStop
     MigrationRequested ///< security hook asked for an ISA switch
 };
 
+constexpr size_t kNumVmStops =
+    static_cast<size_t>(VmStop::MigrationRequested) + 1;
+
 const char *vmStopName(VmStop s);
 
 /** Result of a VM run. */
@@ -278,6 +281,11 @@ class PsrVm
     const PsrConfig &config() const { return _cfg; }
 
   private:
+    /** Checkpoint field walk between the ISA byte and the vetted
+     *  set (support/serialize.hh). */
+    template <class Io, class Self>
+    static void fields(Io &io, Self &vm);
+
     /** Fetch (lookup or translate) the unit at @p src. */
     TranslatedBlock *fetchBlock(Addr src, VmRunResult &stop);
     /**

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "binary/loader.hh"
 #include "replay/introspect.hh"
 #include "replay/record_replay.hh"
 #include "support/random.hh"
@@ -784,6 +785,442 @@ TEST(Checkpoint, GuestProcessRoundTripEveryWorkloadIsaSeed)
                           b.serviceRemaining());
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint loading refuses every value no writer produces, and
+// checks each count against the bytes left before sizing anything.
+// The byte offsets below follow the field walks' image order; each
+// test first checks the byte it damages holds the value a fresh
+// object writes there, so a moved field fails loudly.
+// ---------------------------------------------------------------------
+
+/** HipstrRuntime image: current and start ISA, then (after the policy
+ *  RNG, four flags and the log cursor) the run summary's stop
+ *  reason, fault kind, fault ISA and migration-log count. */
+constexpr size_t kRtCurrent = 0, kRtStartIsa = 1, kRtReason = 46,
+                 kRtFaultKind = 99, kRtFaultIsa = 104, kRtLogCount = 109;
+/** GuestProcess image: lifecycle state, last fault kind and ISA, the
+ *  pending fault kind, then the GuestOs image. */
+constexpr size_t kProcState = 4, kProcFaultKind = 220,
+                 kProcFaultIsa = 225, kProcPending = 230, kProcOs = 231;
+/** GuestOs image: retained-output length. */
+constexpr size_t kOsOutputCount = 39;
+/** PsrVm image: its Randomizer image. */
+constexpr size_t kVmRandomizer = 242;
+/** Randomizer image: map count, then the first map. */
+constexpr size_t kRzMapCount = 88, kRzFirstMap = 92;
+/** RelocationMap image: ISA, register map, slot count; argRegs and
+ *  retReg follow the slots (kMapArgRegs + 8 * slots). */
+constexpr size_t kMapIsa = 4, kMapRegMap = 5, kMapSlotCount = 85,
+                 kMapArgRegs = 97;
+
+std::vector<uint8_t>
+imageOf(const std::function<void(ByteWriter &)> &save)
+{
+    ByteWriter w;
+    save(w);
+    return w.data();
+}
+
+uint32_t
+u32At(const std::vector<uint8_t> &b, size_t off)
+{
+    ByteReader r(b.data() + off, 4);
+    return r.u32();
+}
+
+std::vector<uint8_t>
+withU32(std::vector<uint8_t> b, size_t off, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        b[off + i] = uint8_t(v >> (8 * i));
+    return b;
+}
+
+std::vector<uint8_t>
+withByte(std::vector<uint8_t> b, size_t off, uint8_t v)
+{
+    b[off] = v;
+    return b;
+}
+
+/** What loading @p image with @p load gives: nothing if it loads,
+ *  else the SerializeError code. */
+std::optional<SerializeErrc>
+loadOutcome(const std::vector<uint8_t> &image,
+            const std::function<void(ByteReader &)> &load)
+{
+    try {
+        ByteReader r(image);
+        load(r);
+    } catch (const SerializeError &e) {
+        return e.code();
+    }
+    return std::nullopt;
+}
+
+/** A standalone runtime over httpd, as a worker holds one. */
+struct RuntimeRig
+{
+    Memory mem;
+    GuestOs os;
+    HipstrRuntime rt{ httpdBin(), mem, os, HipstrConfig{} };
+
+    std::optional<SerializeErrc>
+    load(const std::vector<uint8_t> &image)
+    {
+        return loadOutcome(image, [&](ByteReader &r) { rt.loadState(r); });
+    }
+};
+
+std::vector<uint8_t>
+runtimeImage()
+{
+    RuntimeRig a;
+    return imageOf([&](ByteWriter &w) { a.rt.saveState(w); });
+}
+
+GuestProcessConfig
+processConfig()
+{
+    GuestProcessConfig cfg;
+    cfg.pid = 3;
+    return cfg;
+}
+
+std::optional<SerializeErrc>
+loadProcess(const std::vector<uint8_t> &image)
+{
+    GuestProcess p(httpdBin(), processConfig());
+    return loadOutcome(image, [&](ByteReader &r) { p.loadState(r); });
+}
+
+/** A Randomizer image holding the entry function's map. */
+std::vector<uint8_t>
+randomizerImage()
+{
+    Randomizer rz(httpdBin(), IsaKind::Risc, PsrConfig{});
+    rz.mapFor(httpdBin().entryFuncId);
+    return imageOf([&](ByteWriter &w) { rz.saveState(w); });
+}
+
+std::optional<SerializeErrc>
+loadRandomizer(const std::vector<uint8_t> &image)
+{
+    Randomizer rz(httpdBin(), IsaKind::Risc, PsrConfig{});
+    return loadOutcome(image, [&](ByteReader &r) { rz.loadState(r); });
+}
+
+// The count lower bounds ByteReader::count checks against are the
+// encoded sizes of a default (empty) element.
+TEST(CheckpointLoad, MinimumSizesMatchEncodings)
+{
+    EXPECT_EQ(imageOf([](ByteWriter &w) {
+                  const Request empty;
+                  Request::fields(w, empty);
+              }).size(),
+              Request::kBytes);
+    EXPECT_EQ(imageOf([](ByteWriter &w) {
+                  const MigrationOutcome empty;
+                  MigrationOutcome::fields(w, empty);
+              }).size(),
+              MigrationOutcome::kMinBytes);
+    EXPECT_EQ(imageOf([](ByteWriter &w) {
+                  const RelocationMap empty;
+                  RelocationMap::fields(w, empty);
+              }).size(),
+              RelocationMap::kMinBytes);
+}
+
+// Byte 0 of a runtime image set to 2 used to index the VM array out
+// of range when loadState re-armed the security hook.
+TEST(CheckpointLoad, RejectsIsaBytesNoWriterProduces)
+{
+    const std::vector<uint8_t> rt = runtimeImage();
+    ASSERT_EQ(RuntimeRig().load(rt), std::nullopt);
+    for (size_t off : { kRtCurrent, kRtStartIsa, kRtFaultIsa }) {
+        ASSERT_LT(rt[off], kNumIsas) << off;
+        for (uint8_t bad : { uint8_t(2), uint8_t(0xff) })
+            EXPECT_EQ(RuntimeRig().load(withByte(rt, off, bad)),
+                      SerializeErrc::Corrupt)
+                << "runtime byte " << off << " = " << int(bad);
+    }
+
+    const std::vector<uint8_t> rz = randomizerImage();
+    ASSERT_EQ(loadRandomizer(rz), std::nullopt);
+    ASSERT_EQ(rz[kRzFirstMap + kMapIsa], uint8_t(IsaKind::Risc));
+    EXPECT_EQ(loadRandomizer(withByte(rz, kRzFirstMap + kMapIsa, 2)),
+              SerializeErrc::Corrupt);
+
+    GuestProcess a(httpdBin(), processConfig());
+    const std::vector<uint8_t> proc =
+        imageOf([&](ByteWriter &w) { a.saveState(w); });
+    ASSERT_EQ(loadProcess(proc), std::nullopt);
+    ASSERT_EQ(proc[kProcFaultIsa], uint8_t(IsaKind::Risc));
+    EXPECT_EQ(loadProcess(withByte(proc, kProcFaultIsa, 2)),
+              SerializeErrc::Corrupt);
+}
+
+TEST(CheckpointLoad, RejectsStateFaultAndStopBytesNoWriterProduces)
+{
+    GuestProcess a(httpdBin(), processConfig());
+    const std::vector<uint8_t> proc =
+        imageOf([&](ByteWriter &w) { a.saveState(w); });
+    ASSERT_EQ(proc[kProcState], uint8_t(ProcState::Blocked));
+    ASSERT_EQ(proc[kProcFaultKind], uint8_t(FaultKind::None));
+    ASSERT_EQ(proc[kProcPending], uint8_t(FaultKind::None));
+    // ProcState: past the last state, and Running, which saveState
+    // never sees.
+    for (uint8_t bad : { uint8_t(kNumProcStates),
+                         uint8_t(ProcState::Running) })
+        EXPECT_EQ(loadProcess(withByte(proc, kProcState, bad)),
+                  SerializeErrc::Corrupt)
+            << int(bad);
+    for (size_t off : { kProcFaultKind, kProcPending })
+        EXPECT_EQ(loadProcess(withByte(proc, off, kNumFaultKinds)),
+                  SerializeErrc::Corrupt)
+            << off;
+
+    const std::vector<uint8_t> rt = runtimeImage();
+    ASSERT_EQ(rt[kRtReason], uint8_t(VmStop::StepLimit));
+    ASSERT_EQ(rt[kRtFaultKind], uint8_t(FaultKind::None));
+    EXPECT_EQ(RuntimeRig().load(withByte(rt, kRtReason, kNumVmStops)),
+              SerializeErrc::Corrupt);
+    EXPECT_EQ(
+        RuntimeRig().load(withByte(rt, kRtFaultKind, kNumFaultKinds)),
+        SerializeErrc::Corrupt);
+}
+
+// Relocation-map register bytes index 16-entry register arrays.
+TEST(CheckpointLoad, RejectsRegisterBytesOutOfRange)
+{
+    const std::vector<uint8_t> rz = randomizerImage();
+    ASSERT_GE(u32At(rz, kRzMapCount), 1u);
+    const size_t map = kRzFirstMap;
+    const size_t slots = u32At(rz, map + kMapSlotCount);
+    const size_t args = map + kMapArgRegs + 8 * slots;
+    for (size_t off : { map + kMapRegMap, map + kMapRegMap + 15, args,
+                        args + 3, args + 4 /* retReg */ }) {
+        ASSERT_LT(rz[off], 16) << off;
+        EXPECT_EQ(loadRandomizer(withByte(rz, off, 16)),
+                  SerializeErrc::Corrupt)
+            << off;
+        EXPECT_EQ(loadRandomizer(withByte(rz, off, 0xff)),
+                  SerializeErrc::Corrupt)
+            << off;
+    }
+}
+
+// A damaged count or length is refused as Truncated before it sizes
+// a buffer, set or map: each used to allocate up to 4 GiB first.
+TEST(CheckpointLoad, CountsCheckedBeforeSizing)
+{
+    constexpr uint32_t kHuge = 0xffffffffu;
+    {
+        GuestOs os;
+        const std::vector<uint8_t> img =
+            imageOf([&](ByteWriter &w) { os.saveState(w); });
+        ASSERT_EQ(img.size(), kOsOutputCount + 4);
+        EXPECT_EQ(loadOutcome(withU32(img, kOsOutputCount, kHuge),
+                              [](ByteReader &r) { GuestOs().loadState(r); }),
+                  SerializeErrc::Truncated);
+    }
+    {
+        // A fresh VM has nothing vetted: its image ends in count 0.
+        RuntimeRig a;
+        const std::vector<uint8_t> img = imageOf(
+            [&](ByteWriter &w) { a.rt.vm(IsaKind::Risc).saveState(w); });
+        ASSERT_EQ(u32At(img, img.size() - 4), 0u);
+        RuntimeRig b;
+        EXPECT_EQ(loadOutcome(withU32(img, img.size() - 4, kHuge),
+                              [&](ByteReader &r) {
+                                  b.rt.vm(IsaKind::Risc).loadState(r);
+                              }),
+                  SerializeErrc::Truncated);
+    }
+    {
+        const std::vector<uint8_t> rz = randomizerImage();
+        EXPECT_EQ(
+            loadRandomizer(withU32(rz, kRzFirstMap + kMapSlotCount, kHuge)),
+            SerializeErrc::Truncated);
+        EXPECT_EQ(loadRandomizer(withU32(rz, kRzMapCount, kHuge)),
+                  SerializeErrc::Truncated);
+    }
+    {
+        const std::vector<uint8_t> rt = runtimeImage();
+        ASSERT_EQ(u32At(rt, kRtLogCount), 0u);
+        EXPECT_EQ(RuntimeRig().load(withU32(rt, kRtLogCount, kHuge)),
+                  SerializeErrc::Truncated);
+    }
+}
+
+/** Offsets in server checkpoint @p image of @p srv (the server it was
+ *  saved from) that hold an enum, ISA, count or length byte. */
+std::vector<size_t>
+checkpointHotBytes(ProtectedServer &srv, const std::vector<uint8_t> &image)
+{
+    const size_t W = srv.workers().size();
+    // Head: worker count; per in-flight slot (40 bytes from 60) its
+    // request kind and assigned ISA; the intake count.
+    std::vector<size_t> hot = { 0 };
+    for (size_t i = 0; i < W; ++i) {
+        hot.push_back(60 + 40 * i + 8);
+        hot.push_back(60 + 40 * i + 30);
+    }
+    hot.push_back(60 + 41 * W);
+    // The worker images close the checkpoint, in pid order.
+    size_t end = image.size();
+    for (size_t i = W; i-- > 0;) {
+        GuestProcess &p = srv.worker(i);
+        const size_t proc =
+            end - imageOf([&](ByteWriter &w) { p.saveState(w); }).size();
+        end = proc;
+        for (size_t off : { kProcState, kProcFaultKind, kProcFaultIsa,
+                            kProcPending, kProcOs + kOsOutputCount })
+            hot.push_back(proc + off);
+        const size_t rt = proc + kProcOs +
+            imageOf([&](ByteWriter &w) { p.os().saveState(w); }).size();
+        for (size_t off : { kRtCurrent, kRtStartIsa, kRtReason,
+                            kRtFaultKind, kRtFaultIsa, kRtLogCount })
+            hot.push_back(rt + off);
+        const size_t rtEnd = rt +
+            imageOf([&](ByteWriter &w) { p.runtime().saveState(w); })
+                .size();
+        size_t vm = rtEnd;
+        for (IsaKind isa : { IsaKind::Cisc, IsaKind::Risc }) {
+            vm -= imageOf([&](ByteWriter &w) {
+                      p.runtime().vm(isa).saveState(w);
+                  }).size();
+            hot.push_back(vm);
+            const size_t rz = vm + kVmRandomizer;
+            if (u32At(image, rz + kRzMapCount) == 0)
+                continue;
+            for (size_t off : { rz + kRzMapCount,
+                                rz + kRzFirstMap + kMapIsa,
+                                rz + kRzFirstMap + kMapRegMap,
+                                rz + kRzFirstMap + kMapSlotCount })
+                hot.push_back(off);
+        }
+    }
+    return hot;
+}
+
+// Seeded damage to a small server checkpoint: truncations, random bit
+// flips, and rewrites of its enum, ISA, count and length bytes. Each
+// damaged image, loaded into a fresh server, either loads or throws
+// SerializeError; a truncated one always throws Truncated.
+TEST(Checkpoint, FuzzLoadsOrThrowsTyped)
+{
+    const ServerConfig cfg = checkpointedConfig();
+    const uint64_t checksum = ProtectedServer::referenceChecksum(httpdBin());
+    ProtectedServer live(httpdBin(), cfg, checksum);
+    live.beginRun();
+    for (int i = 0; i < 30; ++i)
+        ASSERT_TRUE(live.stepRound());
+    const std::vector<uint8_t> good =
+        imageOf([&](ByteWriter &w) { live.saveCheckpoint(w); });
+    const std::vector<size_t> hot = checkpointHotBytes(live, good);
+
+    auto load = [&](const std::vector<uint8_t> &image) {
+        ProtectedServer srv(httpdBin(), cfg, checksum);
+        srv.beginRun();
+        return loadOutcome(image,
+                           [&](ByteReader &r) { srv.loadCheckpoint(r); });
+    };
+    ASSERT_EQ(load(good), std::nullopt);
+
+    constexpr int kCases = 600;
+    Rng rng(0xf022);
+    int rejected = 0;
+    for (int c = 0; c < kCases; ++c) {
+        std::vector<uint8_t> bad = good;
+        if (c % 3 == 0) {
+            bad.resize(rng.below(good.size()));
+            EXPECT_EQ(load(bad), SerializeErrc::Truncated)
+                << "truncated to " << bad.size();
+            ++rejected;
+            continue;
+        }
+        if (c % 3 == 1) {
+            for (uint64_t n = 1 + rng.below(4); n > 0; --n)
+                bad[rng.below(bad.size())] ^= uint8_t(1u << rng.below(8));
+        } else {
+            size_t off = hot[rng.below(hot.size())];
+            bad[off] = rng.chance(0.5) ? uint8_t(0xff)
+                                       : uint8_t(bad[off] ^ (1u << rng.below(8)));
+        }
+        rejected += load(bad).has_value();
+    }
+    // Every truncation, and most rewrites of a checked byte.
+    EXPECT_GT(rejected, kCases / 2);
+}
+
+/** @p journal with the payload of round @p round's checkpoint
+ *  replaced by @p payload (record and blob lengths rewritten). */
+std::vector<uint8_t>
+withCheckpoint(const std::vector<uint8_t> &journal, uint64_t round,
+               const std::vector<uint8_t> &payload)
+{
+    for (size_t off : recordOffsets(journal, RecordTag::Checkpoint)) {
+        ByteReader head(journal.data() + off + 5, 8);
+        if (head.u64() != round)
+            continue;
+        ByteWriter rec;
+        rec.u8(uint8_t(RecordTag::Checkpoint));
+        rec.u32(uint32_t(12 + payload.size()));
+        rec.u64(round);
+        rec.u32(uint32_t(payload.size()));
+        rec.bytes(payload.data(), payload.size());
+        std::vector<uint8_t> out(journal.begin(), journal.begin() + off);
+        out.insert(out.end(), rec.data().begin(), rec.data().end());
+        out.insert(out.end(),
+                   journal.begin() + off + 5 + recordLen(journal, off),
+                   journal.end());
+        return out;
+    }
+    ADD_FAILURE() << "no checkpoint at round " << round;
+    return journal;
+}
+
+// A windowed replay that restores a damaged checkpoint ends in a
+// ReplayError, whether the damage is a truncation, a trailing byte, or
+// an enum or count byte no writer produces.
+TEST(Checkpoint, DamagedCheckpointFailsWindowedReplayTyped)
+{
+    const ServerConfig cfg = checkpointedConfig();
+    const std::string fixture = fixturePath("server_checkpointed.hjl");
+    const std::vector<uint8_t> journal = slurp(fixture);
+    JournalFile file(fixture);
+    const uint64_t round = file.journal().checkpointAtOrBefore(30);
+    ASSERT_GT(round, 0u);
+    const std::vector<uint8_t> good = file.checkpoint(round);
+
+    ProtectedServer restored(httpdBin(), cfg);
+    restored.beginRun();
+    ByteReader r(good);
+    restored.loadCheckpoint(r);
+    const std::vector<size_t> hot = checkpointHotBytes(restored, good);
+
+    std::vector<std::vector<uint8_t>> damaged;
+    for (size_t keep : { size_t(0), size_t(3), good.size() / 2,
+                         good.size() - 1 })
+        damaged.emplace_back(good.begin(), good.begin() + keep);
+    damaged.push_back(good);
+    damaged.back().push_back(0);
+    for (size_t off : hot) {
+        damaged.push_back(good);
+        damaged.back()[off] = 0xff;
+    }
+    damaged.push_back(withU32(good, hot.front(), 3)); // worker count
+
+    const std::string path = tempPath("replay_damaged_checkpoint.hjl");
+    for (size_t i = 0; i < damaged.size(); ++i) {
+        spit(path, withCheckpoint(journal, round, damaged[i]));
+        ReplayError e = replayErrorOf(
+            [&] { replayWindow(httpdBin(), cfg, path, round); });
+        EXPECT_EQ(e.code(), ReplayErrc::Corrupt) << "case " << i;
     }
 }
 

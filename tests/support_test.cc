@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -400,10 +401,267 @@ TEST(Rng, StateWordsRoundTrip)
     Rng a(1234);
     a.next();
     a.next();
+    ByteWriter w;
+    Rng::fields(w, a);
+    EXPECT_EQ(w.size(), 32u);
     Rng b(999);
-    b.setStateWords(a.stateWords());
+    ByteReader r(w.data());
+    Rng::fields(r, b);
+    EXPECT_TRUE(r.atEnd());
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(a.next(), b.next());
+}
+
+enum class Colour : uint8_t
+{
+    Red,
+    Green,
+    Blue
+};
+constexpr size_t kNumColours = 3;
+
+/** A nested object with its own saveState/loadState, for state(). */
+struct Inner
+{
+    uint32_t v = 0;
+    void saveState(ByteWriter &w) const { w.u32(v); }
+    void loadState(ByteReader &r) { v = r.u32(); }
+};
+
+/** One field of every kind a checkpoint walk names. */
+struct Walked
+{
+    uint8_t a = 0;
+    uint16_t b = 0;
+    int32_t c = 0;
+    unsigned d = 0;
+    uint64_t e = 0;
+    size_t f = 0;
+    double g = 0;
+    bool h = false;
+    std::string i;
+    Colour j = Colour::Red;
+    std::vector<uint16_t> k;
+    std::vector<uint64_t> l;
+    std::map<uint32_t, uint32_t> m;
+    std::vector<bool> n;
+    Inner o;
+
+    template <class Io, class Self>
+    static void
+    fields(Io &io, Self &s)
+    {
+        io.u8(s.a);
+        io.u16(s.b);
+        io.u32(s.c);
+        io.u32(s.d);
+        io.u64(s.e);
+        io.u64(s.f);
+        io.f64(s.g);
+        io.boolean(s.h);
+        io.str(s.i);
+        io.bounded(s.j, kNumColours);
+        io.count(s.k, 2);
+        for (auto &x : s.k)
+            io.u16(x);
+        io.count64(s.l, 8);
+        for (auto &x : s.l)
+            io.u64(x);
+        io.entries(s.m, 8, [&io](auto &key, auto &value) {
+            io.u32(key);
+            io.u32(value);
+        });
+        for (size_t x = 0; x < s.n.size(); ++x)
+            io.boolean(s.n[x]);
+        io.state(s.o);
+    }
+};
+
+Walked
+sampleWalked()
+{
+    Walked s;
+    s.a = 0xab;
+    s.b = 0xcdef;
+    s.c = -5;
+    s.d = 0xdeadbeef;
+    s.e = 0x0123456789abcdefull;
+    s.f = 0xfedcba9876543210ull;
+    s.g = 2.718281828459045;
+    s.h = true;
+    s.i = "walk";
+    s.j = Colour::Blue;
+    s.k = { 1, 2, 0xffff };
+    s.l = { 7, 0xffffffffffffffffull };
+    s.m = { { 9, 90 }, { 3, 30 } };
+    s.n = { true, false, true };
+    s.o.v = 77;
+    return s;
+}
+
+// A walk over the writer emits exactly the plain writes at each
+// field's fixed width, and the same walk over the reader restores
+// every field.
+TEST(Serialize, FieldWalkRoundTripsEveryWidth)
+{
+    const Walked s = sampleWalked();
+    ByteWriter w;
+    Walked::fields(w, s);
+
+    ByteWriter plain;
+    plain.u8(0xab);
+    plain.u16(0xcdef);
+    plain.u32(uint32_t(-5));
+    plain.u32(0xdeadbeef);
+    plain.u64(0x0123456789abcdefull);
+    plain.u64(0xfedcba9876543210ull);
+    plain.f64(2.718281828459045);
+    plain.boolean(true);
+    plain.str("walk");
+    plain.u8(2);
+    plain.u32(3);
+    for (uint16_t x : { 1, 2, 0xffff })
+        plain.u16(x);
+    plain.u64(2);
+    plain.u64(7);
+    plain.u64(0xffffffffffffffffull);
+    plain.u32(2); // entries in key order
+    plain.u32(3);
+    plain.u32(30);
+    plain.u32(9);
+    plain.u32(90);
+    for (bool x : { true, false, true })
+        plain.boolean(x);
+    plain.u32(77);
+    EXPECT_EQ(w.data(), plain.data());
+
+    Walked t;
+    t.n.assign(3, false);
+    ByteReader r(w.data());
+    Walked::fields(r, t);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(t.a, s.a);
+    EXPECT_EQ(t.b, s.b);
+    EXPECT_EQ(t.c, s.c);
+    EXPECT_EQ(t.d, s.d);
+    EXPECT_EQ(t.e, s.e);
+    EXPECT_EQ(t.f, s.f);
+    EXPECT_EQ(t.g, s.g);
+    EXPECT_EQ(t.h, s.h);
+    EXPECT_EQ(t.i, s.i);
+    EXPECT_EQ(t.j, s.j);
+    EXPECT_EQ(t.k, s.k);
+    EXPECT_EQ(t.l, s.l);
+    EXPECT_EQ(t.m, s.m);
+    EXPECT_EQ(t.n, s.n);
+    EXPECT_EQ(t.o.v, s.o.v);
+}
+
+template <class Fn>
+SerializeErrc
+errcOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const SerializeError &e) {
+        return e.code();
+    }
+    ADD_FAILURE() << "expected SerializeError";
+    return SerializeErrc::Corrupt;
+}
+
+TEST(Serialize, BoundedAcceptsBelowLimitRejectsAtLimit)
+{
+    ByteWriter w;
+    w.bounded(Colour::Blue, kNumColours);
+    w.u8(uint8_t(kNumColours));
+    ByteReader r(w.data());
+    Colour c = Colour::Red;
+    r.bounded(c, kNumColours);
+    EXPECT_EQ(c, Colour::Blue);
+    EXPECT_EQ(errcOf([&] { r.bounded(c, kNumColours); }),
+              SerializeErrc::Corrupt);
+    EXPECT_EQ(c, Colour::Blue);
+}
+
+// A count is checked against the bytes left before anything is
+// sized from it.
+TEST(Serialize, CountLargerThanBytesLeftThrowsTruncated)
+{
+    {
+        ByteWriter w;
+        w.u32(3);
+        w.u16(1);
+        w.u16(2);
+        w.u16(3);
+        ByteReader r(w.data());
+        std::vector<uint16_t> v;
+        r.count(v, 2);
+        EXPECT_EQ(v.size(), 3u);
+    }
+    {
+        ByteWriter w;
+        w.u32(3);
+        w.u16(1);
+        w.u16(2);
+        w.u8(3);
+        ByteReader r(w.data());
+        std::vector<uint16_t> v(1, 9);
+        EXPECT_EQ(errcOf([&] { r.count(v, 2); }),
+                  SerializeErrc::Truncated);
+        EXPECT_EQ(v, std::vector<uint16_t>(1, 9));
+    }
+    {
+        ByteWriter w;
+        w.u32(0xffffffffu);
+        ByteReader r(w.data());
+        std::vector<uint8_t> v;
+        EXPECT_EQ(errcOf([&] { r.count(v, 1); }),
+                  SerializeErrc::Truncated);
+        EXPECT_TRUE(v.empty());
+    }
+    {
+        ByteWriter w;
+        w.u64(0xffffffffffffffffull);
+        w.u64(0);
+        ByteReader r(w.data());
+        std::vector<uint64_t> v;
+        EXPECT_EQ(errcOf([&] { r.count64(v, 8); }),
+                  SerializeErrc::Truncated);
+        EXPECT_TRUE(v.empty());
+    }
+    {
+        ByteWriter w;
+        w.u32(0xffffffffu);
+        ByteReader r(w.data());
+        std::map<uint32_t, uint32_t> m;
+        EXPECT_EQ(errcOf([&] {
+                      r.entries(m, 8, [&r](auto &k, auto &v) {
+                          r.u32(k);
+                          r.u32(v);
+                      });
+                  }),
+                  SerializeErrc::Truncated);
+    }
+}
+
+TEST(Serialize, DuplicateEntryKeyIsCorrupt)
+{
+    ByteWriter w;
+    w.u32(2);
+    for (int i = 0; i < 2; ++i) {
+        w.u32(5);
+        w.u32(50);
+    }
+    ByteReader r(w.data());
+    std::map<uint32_t, uint32_t> m;
+    EXPECT_EQ(errcOf([&] {
+                  r.entries(m, 8, [&r](auto &k, auto &v) {
+                      r.u32(k);
+                      r.u32(v);
+                  });
+              }),
+              SerializeErrc::Corrupt);
 }
 
 } // namespace
